@@ -11,9 +11,9 @@ This module computes exactly that blind summary from a workload trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Dict, List, Mapping, Optional
 
-from ..cycle.program import lower_workload
+from ..cycle.program import Program, lower_workload
 from ..workloads.trace import Workload, access_target
 
 
@@ -63,17 +63,23 @@ class ThreadProfile:
         return service_time * units / transactions
 
 
-def characterize(workload: Workload) -> Dict[str, ThreadProfile]:
+def characterize(workload: Workload,
+                 programs: Optional[List[Program]] = None
+                 ) -> Dict[str, ThreadProfile]:
     """Summarize every thread of ``workload`` into a ThreadProfile.
 
     Uses the same lowering (hence identical power scaling and rounding)
     as the cycle engines, so the three estimators describe the same
-    physical workload.
+    physical workload.  ``programs``, when given, must be
+    ``lower_workload(workload)``; a caller that also runs a cycle
+    engine passes its lowering here instead of expanding twice.
     """
     service_times = {spec.name: max(1, int(round(spec.service_time)))
                      for spec in workload.resources}
+    if programs is None:
+        programs = lower_workload(workload)
     profiles: Dict[str, ThreadProfile] = {}
-    for program in lower_workload(workload):
+    for program in programs:
         accesses: Dict[str, float] = {}
         units: Dict[str, float] = {}
         idle = 0.0

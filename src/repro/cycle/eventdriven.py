@@ -10,51 +10,31 @@ together.
 
 Equivalence is by construction: events are processed in per-cycle
 batches replicating the stepped engine's phase order (completions, then
-advances in processor-index order, then one grant per free resource),
-and both engines share the same arbiter implementations.  A grant can
-only become newly possible at a completion or a new request — both of
-which are events — so granting only at event times loses nothing.
+advances in processor-index order, then one grant per free port), and
+non-FIFO policies call the same arbiter objects the stepped engine
+does.  A grant can only become newly possible at a completion or a new
+request — both of which are events — so granting only at event times
+loses nothing.
+
+FIFO arbitration is a head pop: every request is appended at the
+current batch time with the next global sequence number, and batch
+times never decrease, so each queue is always sorted by
+``(time, seq)`` — exactly the order :class:`~repro.cycle.arbiter.
+FifoArbiter` would pick in.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Dict, List, Optional, Set
+from heapq import heapify, heappop, heappush
+from typing import List, Optional
 
 from ..core.errors import BudgetExceededError
-from ..workloads.trace import Workload, access_target
+from ..workloads.trace import Workload
 from .arbiter import Request, make_arbiter
+from .program import Program
 from .program import coerce_workload as _coerce_workload
 from .program import lower_workload
-from .stats import CycleResult, StatsBuilder
-
-
-class _Proc:
-    """Per-processor cursor over its program."""
-
-    __slots__ = ("index", "program", "pc", "done")
-
-    def __init__(self, index: int, program):
-        self.index = index
-        self.program = program
-        self.pc = 0
-        self.done = False
-
-
-class _Resource:
-    """Queue plus in-flight services for one shared resource."""
-
-    __slots__ = ("name", "service", "queue", "busy", "ports", "arbiter")
-
-    def __init__(self, name: str, service: int, arbiter, ports: int = 1):
-        self.name = name
-        self.service = service
-        self.ports = ports
-        self.queue: List[Request] = []
-        #: Number of ports currently serving.
-        self.busy = 0
-        self.arbiter = arbiter
+from .stats import CycleResult, GrantRecord, StatsBuilder
 
 
 class _Lock:
@@ -70,6 +50,12 @@ class _Lock:
 class EventEngine:
     """Exact event-driven shared-bus multiprocessor simulator.
 
+    ``programs``, when given, must be ``lower_workload(workload)``:
+    callers that already lowered the workload (the per-cell execution
+    session shares one lowering between this engine and
+    :func:`~repro.analytical.characterize`) pass it instead of paying
+    for a second expansion.
+
     An optional ``budget`` (:class:`~repro.robustness.budget.RunBudget`)
     is checked once per event batch; exceeding it raises
     :class:`~repro.core.errors.BudgetExceededError` with the partial
@@ -79,10 +65,12 @@ class EventEngine:
     def __init__(self, workload: Workload, arbiter: str = "fifo",
                  max_events: int = 200_000_000,
                  record_grants: bool = False,
-                 budget=None):
+                 budget=None,
+                 programs: Optional[List[Program]] = None):
         workload, budget = _coerce_workload(workload, budget)
         self.workload = workload
-        self.programs = lower_workload(workload)
+        self.programs = (programs if programs is not None
+                         else lower_workload(workload))
         self._arbiter_name = arbiter
         self._priorities = {p.thread_name: p.priority
                             for p in self.programs}
@@ -92,37 +80,69 @@ class EventEngine:
 
     def run(self) -> CycleResult:
         """Simulate to completion and return ground-truth statistics."""
-        procs = [_Proc(i, program)
-                 for i, program in enumerate(self.programs)]
-        stats = StatsBuilder(record_grants=self.record_grants)
-        for proc in procs:
-            stats.register_thread(proc.program.thread_name,
-                                  proc.program.processor.name)
-        resources: Dict[str, _Resource] = {}
-        for spec in self.workload.resources:
-            service = max(1, int(round(spec.service_time)))
-            resources[spec.name] = _Resource(
-                spec.name, service,
-                make_arbiter(self._arbiter_name, self._priorities),
-                ports=spec.ports)
-            stats.register_resource(spec.name, service)
-        resource_order = [resources[spec.name]
-                          for spec in self.workload.resources]
+        programs = self.programs
+        specs = self.workload.resources
+        total = len(programs)
+        names = [program.thread_name for program in programs]
+        ops_of = [program.ops for program in programs]
+        lengths = [len(ops) for ops in ops_of]
+        pcs = [0] * total
+        compute = [0] * total
+        wait = [0] * total
+        service_of = [0] * total
+        accesses = [0] * total
+        finish = [0] * total
+        finished = [False] * total
+
+        resource_index = {spec.name: ri for ri, spec in enumerate(specs)}
+        res_names = [spec.name for spec in specs]
+        res_service = [max(1, int(round(spec.service_time)))
+                       for spec in specs]
+        res_ports = [spec.ports for spec in specs]
+        queues: List[List[Request]] = [[] for _ in specs]
+        busy = [0] * len(specs)
+        fifo = self._arbiter_name == "fifo"
+        # make_arbiter also rejects unknown policy names up front.
+        arbiters = [make_arbiter(self._arbiter_name, self._priorities)
+                    for _ in specs]
+        grants = [0] * len(specs)
+        busy_cycles = [0] * len(specs)
+        res_wait = [0] * len(specs)
+        grant_log: Optional[list] = [] if self.record_grants else None
+
         parties = self.workload.barrier_parties()
-        arrivals: Dict[str, List[int]] = {name: [] for name in parties}
-        locks: Dict[str, _Lock] = {name: _Lock()
-                                   for name in self.workload.lock_ids()}
+        arrivals = {name: [] for name in parties}
+        locks = {name: _Lock() for name in self.workload.lock_ids()}
 
-        counter = itertools.count()
-        # Event kinds: ("ready", proc_index) and ("complete", resource).
-        heap: List = []
-        for proc in procs:
-            heapq.heappush(heap, (0, next(counter), "ready", proc.index))
+        def build(makespan: int, cycles_executed: int) -> CycleResult:
+            stats = StatsBuilder(record_grants=self.record_grants)
+            for index, program in enumerate(programs):
+                name = names[index]
+                stats.register_thread(name, program.processor.name)
+                stats.compute[name] = compute[index]
+                stats.service[name] = service_of[index]
+                stats.wait[name] = wait[index]
+                stats.accesses[name] = accesses[index]
+                stats.finish[name] = finish[index]
+            for ri, name in enumerate(res_names):
+                stats.register_resource(name, res_service[ri])
+                stats.resource_grants[name] = grants[ri]
+                stats.resource_busy[name] = busy_cycles[ri]
+                stats.resource_wait[name] = res_wait[ri]
+            if grant_log is not None:
+                stats.grant_log = grant_log
+            return stats.build(makespan=makespan,
+                               cycles_executed=cycles_executed)
 
+        # Heap entries are (time, processor, resource): resource -1 is
+        # a "ready" event, otherwise the processor's service on that
+        # resource completes.  A processor never has two pending
+        # events, so entries are unique and their order within one
+        # time is irrelevant: the whole batch is drained first.
+        heap = [(0, index, -1) for index in range(total)]
         seq = 0
-        done = 0
         events = 0
-        total = len(procs)
+        max_events = self.max_events
         meter = self.budget.start() if self.budget is not None else None
 
         while heap:
@@ -132,126 +152,114 @@ class EventEngine:
                 if reason is not None:
                     raise BudgetExceededError(
                         reason,
-                        partial_result=stats.build(makespan=t,
-                                                   cycles_executed=events),
+                        partial_result=build(t, events),
                         budget=self.budget)
-            advance_set: Set[int] = set()
             # Phase 1+2a: drain the batch; completions free resources.
+            work = []
             while heap and heap[0][0] == t:
-                _, _, kind, payload = heapq.heappop(heap)
-                events += 1
-                if events > self.max_events:
-                    raise RuntimeError(
-                        f"event simulation exceeded {self.max_events} "
-                        f"events"
-                    )
-                if kind == "complete":
-                    resource_name, proc_index = payload
-                    resources[resource_name].busy -= 1
-                    advance_set.add(proc_index)
-                else:  # ready
-                    advance_set.add(payload)
-            # Phase 2b: advance in index order with barrier cascades.
-            work = sorted(advance_set)
+                _, index, ri = heappop(heap)
+                if ri >= 0:
+                    busy[ri] -= 1
+                work.append(index)
+            events += len(work)
+            if events > max_events:
+                raise RuntimeError(
+                    f"event simulation exceeded {max_events} events")
+            # Phase 2b: advance in index order; barrier and lock
+            # releases join the work heap within the same cycle.
+            if len(work) > 1:
+                heapify(work)
             while work:
-                work.sort()
-                index = work.pop(0)
-                proc = procs[index]
-                seq, finished = self._advance(
-                    proc, t, seq, resources, parties, arrivals, locks,
-                    stats, work, procs, heap, counter)
-                done += finished
+                index = heappop(work)
+                ops = ops_of[index]
+                end = lengths[index]
+                pc = pcs[index]
+                while True:
+                    if pc >= end:
+                        finish[index] = t
+                        finished[index] = True
+                        break
+                    kind, arg = ops[pc]
+                    pc += 1
+                    if kind == "compute":
+                        cycles = int(arg)
+                        compute[index] += cycles
+                        heappush(heap, (t + cycles, index, -1))
+                        break
+                    if kind == "access":
+                        burst = 1
+                        if arg.__class__ is not str:
+                            if isinstance(arg, tuple):
+                                arg, burst = arg[0], int(arg[1])
+                            arg = str(arg)
+                        ri = resource_index[arg]
+                        queues[ri].append(
+                            Request(index, names[index], t, seq, burst))
+                        seq += 1
+                        break
+                    if kind == "idle":
+                        heappush(heap, (t + int(arg), index, -1))
+                        break
+                    if kind == "barrier":
+                        barrier_id = str(arg)
+                        arrived = arrivals[barrier_id]
+                        arrived.append(index)
+                        if len(arrived) < parties[barrier_id]:
+                            break
+                        for other in arrived:
+                            if other != index:
+                                heappush(work, other)
+                        arrivals[barrier_id] = []
+                        continue
+                    if kind == "lock":
+                        lock = locks[str(arg)]
+                        if lock.owner is None:
+                            lock.owner = index
+                            continue
+                        lock.waiters.append(index)
+                        break
+                    if kind == "unlock":
+                        lock = locks[str(arg)]
+                        if lock.owner != index:
+                            raise RuntimeError(
+                                f"thread {names[index]!r} unlocked "
+                                f"{arg!r} held by {lock.owner!r}"
+                            )
+                        if lock.waiters:
+                            lock.owner = lock.waiters.pop(0)
+                            heappush(work, lock.owner)
+                        else:
+                            lock.owner = None
+                        continue
+                    raise TypeError(f"unknown micro-op {kind!r}")
+                pcs[index] = pc
             # Phase 3: one grant per free port.
-            for resource in resource_order:
-                while resource.queue and resource.busy < resource.ports:
-                    request = resource.arbiter.pick(resource.queue)
-                    service = resource.service * request.burst
-                    stats.grant(resource.name, request.thread_name,
-                                t - request.time, service, now=t)
-                    resource.busy += 1
-                    heapq.heappush(
-                        heap, (t + service, next(counter),
-                               "complete",
-                               (resource.name, request.proc_index)))
+            for ri, queue in enumerate(queues):
+                while queue and busy[ri] < res_ports[ri]:
+                    request = (queue.pop(0) if fifo
+                               else arbiters[ri].pick(queue))
+                    owner = request.proc_index
+                    service = res_service[ri] * request.burst
+                    waited = t - request.time
+                    wait[owner] += waited
+                    service_of[owner] += service
+                    accesses[owner] += 1
+                    grants[ri] += 1
+                    busy_cycles[ri] += service
+                    res_wait[ri] += waited
+                    if grant_log is not None:
+                        grant_log.append(GrantRecord(
+                            resource=res_names[ri], thread=names[owner],
+                            request_time=request.time, grant_time=t,
+                            service=service))
+                    busy[ri] += 1
+                    heappush(heap, (t + service, owner, ri))
 
-        if done < total:
-            blocked = [proc.program.thread_name for proc in procs
-                       if not proc.done]
+        if not all(finished):
+            blocked = [names[index] for index in range(total)
+                       if not finished[index]]
             raise RuntimeError(
                 f"event simulation stalled; threads parked forever at "
                 f"barriers: {blocked}"
             )
-        makespan = max(stats.finish.values()) if stats.finish else 0
-        return stats.build(makespan=makespan, cycles_executed=events)
-
-    def _advance(self, proc: _Proc, t: int, seq: int,
-                 resources: Dict[str, _Resource],
-                 parties: Dict[str, int],
-                 arrivals: Dict[str, List[int]],
-                 locks: Dict[str, _Lock],
-                 stats: StatsBuilder,
-                 work: List[int],
-                 procs: List[_Proc],
-                 heap: List,
-                 counter):
-        """Run one processor's micro-ops until it blocks (see stepped)."""
-        name = proc.program.thread_name
-        ops = proc.program.ops
-        while True:
-            if proc.pc >= len(ops):
-                proc.done = True
-                stats.finish[name] = t
-                return seq, 1
-            kind, arg = ops[proc.pc]
-            proc.pc += 1
-            if kind == "compute":
-                cycles = int(arg)
-                stats.compute[name] += cycles
-                heapq.heappush(heap, (t + cycles, next(counter), "ready",
-                                      proc.index))
-                return seq, 0
-            if kind == "access":
-                resource_name, burst = access_target(arg)
-                resource = resources[resource_name]
-                resource.queue.append(
-                    Request(proc_index=proc.index, thread_name=name,
-                            time=t, seq=seq, burst=burst))
-                seq += 1
-                return seq, 0
-            if kind == "idle":
-                heapq.heappush(heap, (t + int(arg), next(counter), "ready",
-                                      proc.index))
-                return seq, 0
-            if kind == "barrier":
-                barrier_id = str(arg)
-                arrived = arrivals[barrier_id]
-                arrived.append(proc.index)
-                if len(arrived) < parties[barrier_id]:
-                    return seq, 0
-                for other_index in arrived:
-                    if other_index != proc.index:
-                        work.append(other_index)
-                arrivals[barrier_id] = []
-                continue
-            if kind == "lock":
-                lock = locks[str(arg)]
-                if lock.owner is None:
-                    lock.owner = proc.index
-                    continue
-                lock.waiters.append(proc.index)
-                return seq, 0
-            if kind == "unlock":
-                lock = locks[str(arg)]
-                if lock.owner != proc.index:
-                    raise RuntimeError(
-                        f"thread {name!r} unlocked {arg!r} held by "
-                        f"{lock.owner!r}"
-                    )
-                if lock.waiters:
-                    next_owner = lock.waiters.pop(0)
-                    lock.owner = next_owner
-                    work.append(next_owner)
-                else:
-                    lock.owner = None
-                continue
-            raise TypeError(f"unknown micro-op {kind!r}")
+        return build(max(finish) if finish else 0, events)

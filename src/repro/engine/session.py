@@ -52,7 +52,9 @@ from ..analytical import characterize, estimate_queueing
 from ..contention.base import ContentionModel
 from ..core.errors import ConfigurationError
 from ..cycle import EventEngine, SteppedEngine
+from ..cycle.program import lower_workload
 from ..perf.parallel import CellResult, ParallelExecutor
+from ..workloads.to_mesh import build_kernel as build_mesh_kernel
 from ..workloads.to_mesh import run_hybrid
 from ..workloads.trace import Workload
 
@@ -378,9 +380,11 @@ class ExecutionSession:
         store = self.store if spec is not None else None
         spec_hash = spec.spec_hash() if spec is not None else None
 
-        # The workload and its characterization profiles are built
-        # lazily: a comparison whose every estimator hits the store
-        # finishes with zero workload builds and zero kernel runs.
+        # The workload, its one lowering to cycle programs and its
+        # characterization profiles are built lazily and shared by
+        # every estimator of the cell: a comparison whose every
+        # estimator hits the store finishes with zero workload builds
+        # and zero kernel runs.  All of it is dropped with the cell.
         state: Dict[str, object] = {}
 
         def get_workload() -> Workload:
@@ -390,6 +394,11 @@ class ExecutionSession:
                 self._count(workload_builds=1)
             return state["workload"]
 
+        def get_programs():
+            if "programs" not in state:
+                state["programs"] = lower_workload(get_workload())
+            return state["programs"]
+
         def get_profiles():
             if "profiles" not in state:
                 # One busy-time basis for every estimator's percentage:
@@ -397,7 +406,8 @@ class ExecutionSession:
                 # (excluding idle), identical to the cycle engines'
                 # compute+service total.  The profiles are shared with
                 # the whole-run analytical estimator below.
-                state["profiles"] = characterize(get_workload())
+                state["profiles"] = characterize(get_workload(),
+                                                 get_programs())
             return state["profiles"]
 
         def as_percent(queueing: float) -> float:
@@ -423,10 +433,15 @@ class ExecutionSession:
                     cached += 1
                     continue
             if estimator == "iss":
-                engine_cls = (SteppedEngine if iss_engine == "stepped"
-                              else EventEngine)
                 start = time.perf_counter()
-                result = engine_cls(get_workload(), budget=budget).run()
+                if iss_engine == "stepped":
+                    engine_run = SteppedEngine(get_workload(),
+                                               budget=budget)
+                else:
+                    engine_run = EventEngine(get_workload(),
+                                             budget=budget,
+                                             programs=get_programs())
+                result = engine_run.run()
                 elapsed = time.perf_counter() - start
                 queueing = float(result.queueing_cycles)
             elif estimator == "mesh":
@@ -448,7 +463,12 @@ class ExecutionSession:
                                  else {"engine": mesh_engine})
                 if backend is not None:
                     engine_kwargs["backend"] = backend
-                if spec is not None:
+                if spec is not None and spec.kind == "workload":
+                    result = build_mesh_kernel(
+                        get_workload(),
+                        **spec.kernel_kwargs(memo_cache=memo_cache,
+                                             **engine_kwargs)).run()
+                elif spec is not None:
                     result = spec.run(memo_cache=memo_cache,
                                       **engine_kwargs)
                 else:
@@ -519,7 +539,6 @@ class ExecutionSession:
         from ..core.programstore import (build_replay_kernel,
                                          program_hash, replay_batch)
         from ..scenario.spec import ScenarioSpec
-        from ..workloads.to_mesh import build_kernel as build_mesh_kernel
 
         backend = backend if backend is not None else self.backend
         if batch_cells is None:

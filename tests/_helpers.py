@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 from repro.contention import ChenLinModel, SliceDemand
 from repro.core import HybridKernel, LogicalThread, Processor, SharedResource
 
@@ -30,3 +32,25 @@ def demand(duration=1000.0, service=4.0, priorities=None, **counts):
     return SliceDemand(start=0.0, end=duration, service_time=service,
                        demands=dict(counts),
                        priorities=priorities or {})
+
+
+def count_factory_calls(monkeypatch, name):
+    """Swap registered generator ``name`` for a counting twin.
+
+    The twin is a fresh factory object, so the workload cache holds
+    nothing for it yet; ``functools.wraps`` keeps its signature, so
+    default parameters bind as they do for the original.  Returns the
+    list of the twin's keyword arguments, one entry per build.
+    """
+    from repro.scenario import generators
+
+    factory, kind = generators.resolve_generator(name)
+    calls = []
+
+    @functools.wraps(factory)
+    def counted(**params):
+        calls.append(params)
+        return factory(**params)
+
+    monkeypatch.setitem(generators._GENERATORS, name, (counted, kind))
+    return calls

@@ -17,17 +17,22 @@ absorbed counters on the multiprocess path, and the thin-wrapper
 equivalence of :func:`run_comparison` itself.
 """
 
+import gc
 import json
+import sys
 import time
+import weakref
 
 import pytest
+from _helpers import count_factory_calls
 
 from repro.analytical import characterize, estimate_queueing
 from repro.cycle import EventEngine
 from repro.engine import ESTIMATORS, ExecutionSession
 from repro.experiments.runner import run_comparison
-from repro.scenario import ScenarioSpec
+from repro.scenario import ScenarioSpec, generators
 from repro.scenario.store import RunStore
+from repro.workloads.io import workload_to_dict
 
 GENERATOR_PARAMS = {
     "uniform": {"threads": 2, "phases": 3, "accesses": 24},
@@ -273,3 +278,82 @@ class TestSessionLifecycle:
         spec = spec_for("uniform", 0, "chenlin", 0.0, None)
         with pytest.raises(ValueError, match="unknown estimator"):
             ExecutionSession().comparison(spec, include=("oracle",))
+
+
+def track_lowerings(monkeypatch) -> list:
+    """Count every ``lower_workload`` call in any module that binds it;
+    each call records a weak reference to its first program."""
+    program_mod = sys.modules["repro.cycle.program"]
+    original = program_mod.lower_workload
+    lowered = []
+
+    def counted(workload):
+        programs = original(workload)
+        lowered.append(weakref.ref(programs[0]))
+        return programs
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("repro") and module is not None
+                and getattr(module, "lower_workload", None) is original):
+            monkeypatch.setattr(module, "lower_workload", counted)
+    return lowered
+
+
+class TestOneWorkloadPerCell:
+    """A cold cell builds one workload and lowers it once, and every
+    estimator reads that one workload."""
+
+    def test_cold_cell_builds_once_and_lowers_once(self, monkeypatch):
+        builds = count_factory_calls(monkeypatch, "uniform")
+        lowered = track_lowerings(monkeypatch)
+        spec = spec_for("uniform", 0, "chenlin", 0.0, None)
+        comparison = ExecutionSession().comparison(spec)
+        assert set(comparison.runs) == set(ESTIMATORS)
+        assert len(builds) == 1
+        assert len(lowered) == 1
+
+    def test_estimators_leave_the_workload_untouched(self, monkeypatch):
+        builds = count_factory_calls(monkeypatch, "smp")
+        spec = spec_for("smp", 7, "mm1", 0.0, None)
+        ExecutionSession().comparison(spec)
+        shared = spec.build_workload()
+        # The cell's workload is the cached one, and after all three
+        # estimators ran it still equals a fresh build.
+        assert len(builds) == 1
+        factory = generators.resolve_generator("smp")[0].__wrapped__
+        assert (workload_to_dict(shared)
+                == workload_to_dict(factory(**spec.params)))
+
+    def test_lowered_programs_die_with_the_cell(self, monkeypatch):
+        lowered = track_lowerings(monkeypatch)
+        spec = spec_for("critical_section", 0, "chenlin", 0.0, None)
+        comparison = ExecutionSession().comparison(spec)
+        gc.collect()
+        assert len(lowered) == 1
+        assert lowered[0]() is None
+        assert comparison.runs["iss"].queueing_cycles >= 0
+
+    def test_kernel_kind_specs_run_through_spec_run(self, monkeypatch):
+        import golden_scenarios  # noqa: F401 - registers golden-*
+
+        runs = []
+        original = ScenarioSpec.run
+
+        def counted(self, **overrides):
+            runs.append(self.generator)
+            return original(self, **overrides)
+
+        monkeypatch.setattr(ScenarioSpec, "run", counted)
+        session = ExecutionSession()
+        session.comparison(spec_for("uniform", 0, "chenlin", 0.0, None),
+                           include=("mesh",))
+        assert runs == []
+        # A kernel-kind spec has no workload IR: its MESH run is the
+        # spec's own kernel, and the cell then stops where it needs a
+        # workload (the percentage basis), as it always has.
+        from repro.core.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="builds a kernel"):
+            session.comparison(ScenarioSpec(generator="golden-basic"),
+                               include=("mesh",))
+        assert runs == ["golden-basic"]

@@ -1,12 +1,15 @@
 """Tests for the declarative scenario layer (ScenarioSpec, ModelSpec)."""
 
+import inspect
 import json
 
 import pytest
+from _helpers import count_factory_calls
 
 from repro.contention import make_model
 from repro.core.errors import ConfigurationError
 from repro.robustness import GuardedModel
+from repro.scenario import generators
 from repro.scenario import (MemoSpec, ModelSpec, ScenarioSpec,
                             as_model_spec, available_generators,
                             generator_kind, load_spec, make_workload,
@@ -249,3 +252,79 @@ class TestKernelKindSpecs:
 
         result = ScenarioSpec(generator="golden-spawny").run()
         assert result.makespan > 0
+
+
+class TestWorkloadCache:
+    """``make_workload`` keeps a fixed-size LRU of built workload IR."""
+
+    def test_size_is_a_fixed_constant(self, monkeypatch):
+        size = generators.WORKLOAD_CACHE_SIZE
+        assert isinstance(size, int) and size >= 8
+        assert list(inspect.signature(make_workload).parameters) == [
+            "name", "params"]
+        calls = count_factory_calls(monkeypatch, "uniform")
+        for seed in range(size + 1):
+            make_workload("uniform", {"threads": 1, "seed": seed})
+        make_workload("uniform", {"threads": 1, "seed": size})
+        assert len(calls) == size + 1  # the newest entry hits
+        make_workload("uniform", {"threads": 1, "seed": 0})
+        assert len(calls) == size + 2  # the oldest was evicted
+
+    def test_default_seed_and_omitted_seed_share_one_build(
+            self, monkeypatch):
+        calls = count_factory_calls(monkeypatch, "fft")
+        params = {"points": 1024, "processors": 2, "cache_kb": 8}
+        first = ScenarioSpec(generator="fft",
+                             params=dict(params, seed=0)).build_workload()
+        second = ScenarioSpec(generator="fft",
+                              params=params).build_workload()
+        assert second is first
+        assert len(calls) == 1
+
+    def test_different_params_miss(self, monkeypatch):
+        calls = count_factory_calls(monkeypatch, "uniform")
+        a = make_workload("uniform", {"threads": 2, "seed": 1})
+        b = make_workload("uniform", {"threads": 2, "seed": 2})
+        assert a is not b
+        assert len(calls) == 2
+
+    def test_reregistered_generator_misses(self, monkeypatch):
+        monkeypatch.setitem(generators._GENERATORS, "uniform",
+                            generators._GENERATORS["uniform"])
+        old = make_workload("uniform", {"threads": 2, "seed": 3})
+
+        def single_thread(**params):
+            return uniform_workload(**dict(params, threads=1))
+
+        register_generator("uniform", single_thread, replace=True)
+        new = make_workload("uniform", {"threads": 2, "seed": 3})
+        assert len(old.threads) == 2
+        assert len(new.threads) == 1
+
+    def test_inline_generator_round_trips_through_the_cache(self):
+        document = workload_to_dict(uniform_workload(threads=3,
+                                                     phases=2, seed=4))
+        spec = ScenarioSpec(generator="inline",
+                            params={"document": document})
+        first = spec.build_workload()
+        assert spec.build_workload() is first
+        assert workload_to_dict(first) == document
+
+    def test_paper_grid_builds_each_fft_configuration_once(
+            self, monkeypatch):
+        """Fig. 4 at both cache sizes plus Table 1 ask for 14 FFT
+        workloads (two cells per Fig. 4 configuration before the
+        cache); they are 8 distinct configurations."""
+        from repro.engine import ExecutionSession
+        from repro.experiments.fig4 import fig4_specs
+        from repro.experiments.table1 import table1_specs
+
+        calls = count_factory_calls(monkeypatch, "fft")
+        session = ExecutionSession()
+        for cache_kb in (512, 8):
+            for spec in fig4_specs(cache_kb=cache_kb,
+                                   proc_counts=(2, 4, 8, 16)):
+                session.comparison(spec, include=("analytical",))
+        for spec in table1_specs():
+            spec.build_workload()  # what each Table 1 cell does
+        assert len(calls) == 8

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -122,6 +123,49 @@ class TestStoreCorruption:
         assert result.counters["estimator_runs_recomputed"] == 0
 
 
+def _kill_group(group: int) -> None:
+    """SIGKILL every process of a process group (gone already is fine)."""
+    try:
+        os.killpg(group, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+def _group_members(group: int) -> list:
+    """Pids of the live (not yet exited) processes in a process group."""
+    if not os.path.isdir("/proc"):
+        try:
+            os.killpg(group, 0)
+        except ProcessLookupError:
+            return []
+        return [group]
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited while we looked
+        # Fields after the parenthesised command: state, ppid, pgrp.
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        # A zombie has exited; it only waits for its parent to reap it.
+        if int(pgrp) == group and state not in ("Z", "X"):
+            members.append(int(entry))
+    return members
+
+
+def _await_group_gone(group: int, timeout: float) -> list:
+    """Wait until no process of ``group`` is alive; return survivors."""
+    deadline = time.monotonic() + timeout
+    while True:
+        members = _group_members(group)
+        if not members or time.monotonic() > deadline:
+            return members
+        time.sleep(0.05)
+
+
 class TestKillAndResumeCLI:
     """The headline drill: SIGKILL a live ``repro sweep``, resume it."""
 
@@ -145,20 +189,29 @@ class TestKillAndResumeCLI:
             + ["--cache-dir", str(store_dir),
                "--manifest", str(manifest)],
             cwd=Path(__file__).resolve().parents[1], env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True)
+        # The sweep leads its own process group (its pid is the group
+        # id), so one killpg SIGKILLs the supervisor and its pool
+        # workers together, as an OOM kill or a lost host would.
+        group = process.pid
         # Kill the sweep as soon as it has durably completed some (but
         # ideally not all) estimator runs.
         deadline = time.monotonic() + 120.0
+        produced = False
         while time.monotonic() < deadline:
             if process.poll() is not None:
-                break  # finished before we could kill it: still valid
+                produced = True  # finished before the kill: still valid
+                break
             if store_dir.exists() and any(store_dir.rglob("*.json")):
-                process.kill()
-                process.wait(timeout=30)
+                produced = True
                 break
             time.sleep(0.005)
-        else:
-            process.kill()
+        _kill_group(group)
+        process.wait(timeout=30)
+        assert _await_group_gone(group, timeout=30.0) == [], \
+            "sweep processes survived the group SIGKILL"
+        if not produced:
             pytest.fail("sweep produced no artifacts within 120s")
 
         # Resume must converge; completed estimator runs must replay.
