@@ -1,11 +1,9 @@
-"""Perf bench: parallel sweep speedup and memo-cache hit rates.
+"""Perf bench: parallel sweep speedup.
 
-Starts the repository's performance trajectory: every run records
-structured JSON (``benchmarks/out/BENCH_*.json``) of the parallel
-executor's speedup and the slice-memo cache's hit rate, alongside the
-equivalence checks that make the numbers trustworthy — parallel sweeps
-must be bit-identical to serial ones, and memoized runs bit-identical
-to plain ones.
+Every run records structured JSON (``benchmarks/out/BENCH_*.json``) of
+the parallel executor's speedup, alongside the equivalence check that
+makes the number trustworthy — parallel sweeps must be bit-identical
+to serial ones.
 
 Set ``REPRO_BENCH_SMOKE=1`` (the CI smoke job does) to shrink the
 workloads to seconds while keeping every assertion active.  The >= 2x
@@ -19,9 +17,8 @@ import time
 
 from repro.contention import ChenLinModel
 from repro.experiments.sweep import run_sweep
-from repro.perf import SliceMemoCache, record_bench
+from repro.perf import record_bench
 from repro.workloads.synthetic import uniform_workload
-from repro.workloads.to_mesh import run_hybrid
 
 from _bench_helpers import publish
 
@@ -79,44 +76,3 @@ def test_parallel_sweep_speedup(benchmark):
         assert speedup >= 2.0, (
             f"expected >= 2x with {_JOBS} workers on "
             f"{os.cpu_count()} CPUs, measured {speedup:.2f}x")
-
-
-def test_memo_hit_rate(benchmark):
-    workload = uniform_workload(threads=2,
-                                phases=4 if SMOKE else 12,
-                                work=_WORK,
-                                accesses=8 if SMOKE else 40,
-                                bus_service=2.0, seed=7)
-    model = ChenLinModel()
-
-    def measure():
-        start = time.perf_counter()
-        plain = run_hybrid(workload, model=model)
-        plain_seconds = time.perf_counter() - start
-        cache = SliceMemoCache()
-        start = time.perf_counter()
-        cached = run_hybrid(workload, model=model, memo_cache=cache)
-        cached_seconds = time.perf_counter() - start
-        return plain, cached, cache.stats(), plain_seconds, cached_seconds
-
-    plain, cached, stats, plain_s, cached_s = benchmark.pedantic(
-        measure, rounds=1, iterations=1)
-    record_bench("memo", {
-        "smoke": SMOKE,
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "hit_rate": stats.hit_rate,
-        "plain_seconds": plain_s,
-        "memo_seconds": cached_s,
-        "queueing_cycles": cached.queueing_cycles,
-    })
-    publish("bench_memo",
-            f"memo cache: {stats.hits} hits / {stats.misses} misses "
-            f"(rate {stats.hit_rate:.0%}), plain {plain_s * 1e3:.1f}ms "
-            f"vs memo {cached_s * 1e3:.1f}ms")
-
-    # A steady symmetric workload repeats its slices: hits must appear,
-    # and replaying them must not move the answer by a single bit.
-    assert stats.hit_rate > 0.0
-    assert cached.queueing_cycles == plain.queueing_cycles
-    assert cached.memo_hits == stats.hits

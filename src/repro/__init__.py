@@ -41,7 +41,7 @@ from .contention import (ChenLinModel, ConstantModel, ContentionModel,
                          MD1Model, MM1Model, NullModel, PriorityModel,
                          RoundRobinModel, SliceDemand, available_models,
                          make_model)
-from .perf import ParallelExecutor, SliceMemoCache
+from .perf import ParallelExecutor
 from .robustness import (FaultPlan, FaultWindow, GuardedModel, RetryPolicy,
                          RunBudget, RunHealth)
 from .scenario import (ModelSpec, RunStore, ScenarioSpec, load_spec,
@@ -63,7 +63,7 @@ __all__ = [
     "RoundRobinModel",
     "RoundRobinScheduler", "RunBudget", "RunHealth", "RunStore",
     "ScenarioSpec", "Semaphore",
-    "SharedResource", "SimulationError", "SliceMemoCache",
+    "SharedResource", "SimulationError",
     "SimulationResult", "SliceDemand", "SynchronizationError", "ThreadState",
     "acquire", "available_models", "barrier_wait", "cond_notify",
     "cond_wait", "consume", "load_spec", "make_model",

@@ -97,14 +97,6 @@ class ContentionModel(abc.ABC):
     #: Short registry name (see :mod:`repro.contention.registry`).
     name: str = "base"
 
-    #: Whether :meth:`penalties` is a pure function of the slice, making
-    #: it safe for the slice-penalty memoization cache
-    #: (:mod:`repro.perf.memo`) to replay a previous result for an
-    #: identical demand fingerprint.  Stateful wrappers (fallback
-    #: chains, fault-coupled models) must set/compute this ``False`` so
-    #: they keep seeing real calls.
-    memo_safe: bool = True
-
     #: Whether :meth:`penalties` consults ``demand.priorities``.  The
     #: kernel's slice-analysis loop skips building the trimmed priority
     #: mapping entirely for models that declare ``False`` (hot-path

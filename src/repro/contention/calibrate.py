@@ -123,11 +123,11 @@ def calibrate_model(model: ContentionModel,
 
     With a ``store`` (a :class:`~repro.scenario.store.RunStore` or root
     path) and non-zero ``batch_cells``, the matching
-    :func:`calibration_specs` grid is warmed through the batched mesh
-    prepass first — cold cells compile-or-load from the
-    content-addressed ``program_store`` and batch-replay into the run
-    store — so a subsequent ``repro sweep --grid calibration`` (or any
-    spec-driven evaluation of the same grid) starts warm.  Purely an
+    :func:`calibration_specs` grid is warmed through the mesh prepass
+    first — cold cells compile-or-load from the content-addressed
+    ``program_store`` and replay into the run store — so a subsequent
+    ``repro sweep --grid calibration`` (or any spec-driven evaluation
+    of the same grid) starts warm.  Purely an
     execution choice: the calibration points themselves are measured by
     the cycle engine either way and are unaffected.
     """
@@ -143,8 +143,7 @@ def calibrate_model(model: ContentionModel,
                               phase_work=phase_work,
                               access_sweep=access_sweep, phases=phases,
                               seed=seed),
-            store, program_store=program_store,
-            batch_cells=max(batch_cells, 0))
+            store, program_store=program_store)
 
     sweep = list(access_sweep)
     with ParallelExecutor(jobs) as executor:

@@ -26,7 +26,7 @@ the configurations whose object-engine semantics the array program can
 reproduce bit for bit: FIFO-family scheduling, ``consume`` bodies plus
 barrier-only synchronization and non-nested FIFO mutexes under the
 eager wake policy (no semaphores, condition variables, or spawns), no
-tracing, no fault plans, no budgets, no memoization, and NumPy present.
+tracing, no fault plans, no budgets, and NumPy present.
 
 Synchronization lowers to per-thread *op streams*: each thread body
 becomes a sequence of ``(opcode, arg)`` tuples (:data:`OP_REGION`,
@@ -69,10 +69,11 @@ _SOA_SCHEDULERS = (None, "fifo", "pinned")
 #: whenever the lowering or the program's array semantics change, it is
 #: folded into :func:`repro.core.programstore.program_hash` so cached
 #: serialized programs from an older lowering can never be replayed by
-#: a newer runtime.  (v1: PR 7 consume-only subset; v2: PR 8 widened
-#: sync subset + op streams; v3: hoisted NumPy segment boundaries +
-#: serializable program layout.)
-COMPILE_SUBSET_VERSION = 3
+#: a newer runtime.  (v1: consume-only subset; v2: widened sync subset
+#: + op streams; v3: hoisted NumPy segment boundaries + serializable
+#: program layout; v4: interpreter-only replay, segment and JIT caches
+#: dropped from the program.)
+COMPILE_SUBSET_VERSION = 4
 
 #: Op-stream opcodes.  ``OP_REGION``'s arg is the thread-local region
 #: index; the sync opcodes carry a program-wide barrier/mutex index.
@@ -101,8 +102,6 @@ def soa_spec_fallback_reason(spec) -> Optional[str]:
         return "fault plans"
     if spec.budget is not None:
         return "run budgets"
-    if spec.memo is not None:
-        return "slice memoization"
     if spec.scheduler not in _SOA_SCHEDULERS:
         return f"the {spec.scheduler!r} scheduler (FIFO family only)"
     return None
@@ -128,7 +127,7 @@ class SoAProgram:
         "resource_fast", "min_timeslice", "processor_powers",
         "processor_names", "registered_regions", "has_bursts",
         "thread_ops", "barriers", "barrier_parties", "mutexes",
-        "has_sync", "jit_cache", "numpy_segments",
+        "has_sync",
     )
 
     def __init__(self) -> None:
@@ -186,13 +185,6 @@ class SoAProgram:
         #: Whether any op stream contains a sync opcode (selects the
         #: sync-aware scheduling path in the runtime).
         self.has_sync: bool = False
-        #: CSR array bundle built lazily by :func:`repro.core.jit._lower`
-        #: — immutable static program data shared across replays.
-        self.jit_cache = None
-        #: Precomputed segment boundaries for the pure-NumPy tier
-        #: (:func:`compute_numpy_segments`), or ``None`` when the
-        #: program's static shape is outside that tier's subset.
-        self.numpy_segments = None
 
 
 def compile_kernel(kernel) -> SoAProgram:
@@ -212,8 +204,6 @@ def compile_kernel(kernel) -> SoAProgram:
         raise UnsupportedFeatureError("fault plans")
     if kernel.budget is not None:
         raise UnsupportedFeatureError("run budgets")
-    if kernel.us.memo is not None:
-        raise UnsupportedFeatureError("slice memoization")
     scheduler = kernel.scheduler
     if type(scheduler) is not FifoScheduler \
             and type(scheduler) is not PinnedScheduler:
@@ -408,71 +398,7 @@ def compile_kernel(kernel) -> SoAProgram:
             raise UnsupportedFeatureError(
                 f"mutex {mutex.name!r} that starts held or contended"
             )
-    program.numpy_segments = compute_numpy_segments(program)
     return program
-
-
-def compute_numpy_segments(program: SoAProgram):
-    """Hoist the NumPy tier's segment boundaries out of the replay.
-
-    :func:`repro.core.soa.run_program_numpy` only ever runs on the
-    pure-compute static subset (no accesses, no sync, distinct pins,
-    zero release times, zero start clock — enforced by
-    ``numpy_replay_reason``), which makes every array it derives a pure
-    function of the program: per-thread prefix-sum region ends starting
-    from ``now == 0.0``, the merged sorted commit times, and their
-    unique values.  Computing them once at compile time (and again on a
-    :class:`~repro.core.programstore.ProgramStore` load) removes the
-    recomputation from every warm replay and gives the batched grid
-    replayer the precomputed form it stacks.
-
-    Returns ``None`` when the program's static shape is outside the
-    tier's subset (the runtime check remains authoritative — it also
-    inspects live kernel state the compile pass cannot see).  The float
-    operations are exactly the replay's own (``np.cumsum`` over the
-    same float64 arrays), so consuming the precomputed values is
-    bit-identical to inline recomputation.
-    """
-    if _np is None:  # pragma: no cover - compile already requires NumPy
-        return None
-    if program.has_sync or program.registered_regions > 0:
-        return None
-    affinities = program.thread_affinity
-    if any(a is None for a in affinities) \
-            or len(set(affinities)) != len(affinities):
-        return None
-    if any(release != 0.0 for release in program.thread_release):
-        return None
-    if not all(power > 0.0 and _np.isfinite(power)
-               for power in program.processor_powers):
-        return None
-    per_thread: List[Optional[Tuple[float, float]]] = []
-    all_ends = []
-    for t in range(len(program.thread_names)):
-        if not program.region_counts[t]:
-            per_thread.append(None)
-            continue
-        durations = program.region_durations[t]
-        if durations is None:  # pragma: no cover - distinct pins are static
-            return None
-        d = _np.asarray(durations, dtype=_np.float64)
-        if not _np.isfinite(d).all():
-            return None
-        ends = _np.cumsum(d)
-        starts = _np.empty_like(ends)
-        starts[0] = 0.0
-        starts[1:] = ends[:-1]
-        per_thread.append((float(_np.cumsum(ends - starts)[-1]),
-                           float(ends[-1])))
-        all_ends.append(ends)
-    if all_ends:
-        commits = _np.sort(_np.concatenate(all_ends))
-        unique = _np.unique(commits)
-    else:
-        commits = _np.zeros(0, dtype=_np.float64)
-        unique = commits
-    return {"per_thread": per_thread, "commits": commits,
-            "unique": unique}
 
 
 #: Event types the op-stream lowering understands (exact types only —

@@ -110,7 +110,7 @@ class UnsupportedFeatureError(SimulationError):
 
     Raised by the structure-of-arrays compiler
     (:mod:`repro.core.compile`) when a scenario uses a feature the SoA
-    engine does not lower — tracing, fault plans, budgets, memoization,
+    engine does not lower — tracing, fault plans, budgets, unsupported
     synchronization events, non-FIFO scheduling, or a missing NumPy.
     :class:`~repro.core.kernel.HybridKernel` catches it and falls back
     to the object engine, recording :attr:`feature` as the routing

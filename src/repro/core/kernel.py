@@ -79,12 +79,6 @@ class HybridKernel:
         limit trips, :meth:`run`/:meth:`steps` raise
         :class:`~repro.core.errors.BudgetExceededError` carrying the
         partial :class:`~repro.core.stats.SimulationResult`.
-    memo_cache:
-        Optional :class:`~repro.perf.memo.SliceMemoCache` consulted by
-        the US scheduler before each analytical model call; hit/miss/
-        eviction counters surface on the
-        :class:`~repro.core.stats.SimulationResult`.  Sharing one cache
-        across kernels amortizes warm-up over a sweep.
     slice_accounting:
         How window demand is gathered per commit.  ``"incremental"``
         (default) registers each region with the US scheduler when it
@@ -107,31 +101,15 @@ class HybridKernel:
         (:mod:`repro.core.soa`) — bit-identical results, an order of
         magnitude faster on the commit hot path.  Configurations the
         compiler does not lower (tracing, fault plans, budgets,
-        memoization, sync events, non-FIFO scheduling, missing NumPy)
+        unsupported sync events, non-FIFO scheduling, missing NumPy)
         route back to the object engine automatically;
         :attr:`engine_used` and :attr:`engine_fallback_reason` record
         the routing on the kernel and on the result — never silent.
-    backend:
-        Which replay backend executes a successfully compiled SoA
-        program.  ``"auto"`` (default) cascades down the tier ladder —
-        ``jit`` (numba-compiled commit loop,
-        :mod:`repro.core.jit`) → ``numpy`` (vectorized segmented
-        replay of pure-compute static programs) → ``interp`` (the
-        pure-Python array loop) — taking the fastest tier whose exact
-        subset covers the program.  Naming a tier makes it the
-        *preferred* tier: the cascade starts there and still falls
-        through to the tiers below when the program or the
-        environment (no numba) rules it out.  All tiers are
-        bit-identical; :attr:`backend_used` and
-        :attr:`backend_fallback_reason` record the selection — one
-        ``tier: reason`` clause per skipped tier, never silent.
-        Ignored (left ``None``) when the object engine runs.
     """
 
     SYNC_POLICIES = ("eager", "deferred")
     SLICE_ACCOUNTING = ("incremental", "rescan")
     ENGINES = ("object", "soa")
-    BACKENDS = ("auto", "jit", "numpy", "interp")
 
     def __init__(self, processors: Sequence[Processor],
                  shared_resources: Iterable[SharedResource] = (),
@@ -141,11 +119,9 @@ class HybridKernel:
                  sync_policy: str = "eager",
                  fault_plan=None,
                  budget=None,
-                 memo_cache=None,
                  slice_accounting: str = "incremental",
                  batch_analysis: bool = True,
-                 engine: str = "object",
-                 backend: str = "auto"):
+                 engine: str = "object"):
         if sync_policy not in self.SYNC_POLICIES:
             raise ConfigurationError(
                 f"unknown sync_policy {sync_policy!r}; choose from "
@@ -154,10 +130,6 @@ class HybridKernel:
         if engine not in self.ENGINES:
             raise ConfigurationError(
                 f"unknown engine {engine!r}; choose from {self.ENGINES}"
-            )
-        if backend not in self.BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; choose from {self.BACKENDS}"
             )
         if slice_accounting not in self.SLICE_ACCOUNTING:
             raise ConfigurationError(
@@ -168,19 +140,12 @@ class HybridKernel:
         self._incremental = slice_accounting == "incremental"
         self.sync_policy = sync_policy
         self.engine = engine
-        self.backend = backend
         #: Engine that actually executed the run; stays ``"object"``
         #: until an SoA compile succeeds.
         self.engine_used = "object"
         #: Why an ``engine="soa"`` request routed to the object engine
         #: (``None`` when no fallback happened).
         self.engine_fallback_reason: Optional[str] = None
-        #: Replay backend that executed the compiled program
-        #: (``None`` until the SoA engine runs).
-        self.backend_used: Optional[str] = None
-        #: Why the replay landed below the preferred backend tier
-        #: (``None`` when the preferred tier ran).
-        self.backend_fallback_reason: Optional[str] = None
         self.processors: List[Processor] = list(processors)
         if not self.processors:
             raise ConfigurationError("at least one processor is required")
@@ -194,7 +159,6 @@ class HybridKernel:
         self.us = SharedResourceScheduler(self.shared_resources,
                                           min_timeslice=min_timeslice,
                                           fault_plan=fault_plan,
-                                          memo=memo_cache,
                                           batch_analysis=batch_analysis)
         self.fault_plan = fault_plan
         if fault_plan is not None:
@@ -206,11 +170,6 @@ class HybridKernel:
                     f"{unknown}"
                 )
         self.budget = budget
-        # Counter snapshot so a cache shared across kernels still
-        # reports per-run hit/miss/eviction deltas in the result.
-        self._memo_baseline = ((memo_cache.hits, memo_cache.misses,
-                                memo_cache.evictions)
-                               if memo_cache is not None else (0, 0, 0))
         self.trace: Optional[TraceLog] = TraceLog() if trace else None
 
         self.now: float = 0.0
@@ -286,6 +245,7 @@ class HybridKernel:
                 self.engine_fallback_reason = "time-bounded runs (until=)"
             else:
                 from .compile import compile_kernel
+                from .soa import run_program
 
                 try:
                     program = compile_kernel(self)
@@ -294,7 +254,7 @@ class HybridKernel:
                 else:
                     self._ran = True
                     self.engine_used = "soa"
-                    return self._run_backend(program)
+                    return run_program(self, program)
         self._ran = True
         meter = self.budget.start() if self.budget is not None else None
         queue = self._queue
@@ -330,39 +290,6 @@ class HybridKernel:
         self._flush_final_slice()
         self._finished = True
         return self.result()
-
-    def _run_backend(self, program):
-        """Dispatch a compiled program down the replay tier ladder.
-
-        The preferred tier is :attr:`backend` (``"auto"`` prefers the
-        top); each tier's eligibility probe either admits the program
-        — bit-identical by construction — or contributes a ``tier:
-        reason`` clause to :attr:`backend_fallback_reason` and the
-        cascade drops one rung.  The interpreted loop is total, so the
-        cascade always terminates with a backend.
-        """
-        from .jit import jit_replay_reason, run_program_jit
-        from .soa import (numpy_replay_reason, run_program,
-                          run_program_numpy)
-
-        reasons = []
-        backend = self.backend
-        if backend in ("auto", "jit"):
-            reason = jit_replay_reason(self, program)
-            if reason is None:
-                self.backend_used = "jit"
-                return run_program_jit(self, program)
-            reasons.append(f"jit: {reason}")
-        if backend in ("auto", "jit", "numpy"):
-            reason = numpy_replay_reason(self, program)
-            if reason is None:
-                self.backend_used = "numpy"
-                self.backend_fallback_reason = "; ".join(reasons) or None
-                return run_program_numpy(self, program)
-            reasons.append(f"numpy: {reason}")
-        self.backend_used = "interp"
-        self.backend_fallback_reason = "; ".join(reasons) or None
-        return run_program(self, program)
 
     def steps(self, until: Optional[float] = None):
         """Advance the simulation one commit at a time (generator).

@@ -101,13 +101,6 @@ class SimulationResult:
     #: Excluded from equality so guarded-but-clean runs compare equal
     #: to unguarded ones.
     health: object = field(default=None, compare=False)
-    #: Slice-penalty memoization counters (see
-    #: :class:`~repro.perf.memo.SliceMemoCache`); all zero when no cache
-    #: was attached.  Excluded from equality so memoized runs compare
-    #: equal to plain runs when the simulated physics agree.
-    memo_hits: int = field(default=0, compare=False)
-    memo_misses: int = field(default=0, compare=False)
-    memo_evictions: int = field(default=0, compare=False)
     #: Execution engine that produced the run (``"object"`` or
     #: ``"soa"``).  Excluded from equality — the engines are
     #: bit-identical, so runs compare on physics alone.
@@ -116,15 +109,6 @@ class SimulationResult:
     #: (``None`` when no fallback happened).  Excluded from equality.
     engine_fallback_reason: Optional[str] = field(default=None,
                                                   compare=False)
-    #: SoA replay backend that executed the program (``"jit"``,
-    #: ``"numpy"``, or ``"interp"``; ``None`` when the object engine
-    #: ran).  Excluded from equality — backends are bit-identical.
-    backend_used: Optional[str] = field(default=None, compare=False)
-    #: Why the replay landed below the preferred backend tier, one
-    #: ``tier: reason`` clause per skipped tier (``None`` when the
-    #: preferred tier ran).  Excluded from equality.
-    backend_fallback_reason: Optional[str] = field(default=None,
-                                                   compare=False)
 
     @property
     def faults_injected(self) -> float:
@@ -168,13 +152,6 @@ class SimulationResult:
             f"slices analyzed    : {self.slices_analyzed} "
             f"(+{self.slices_merged} merged)",
         ]
-        if self.memo_hits or self.memo_misses:
-            consulted = self.memo_hits + self.memo_misses
-            rate = self.memo_hits / consulted if consulted else 0.0
-            lines.append(
-                f"memo cache         : {self.memo_hits} hits / "
-                f"{consulted} lookups ({rate:.0%}), "
-                f"{self.memo_evictions} evicted")
         for name in sorted(self.threads):
             t = self.threads[name]
             lines.append(
@@ -238,9 +215,6 @@ def build_result(kernel) -> SimulationResult:
         )
         for r in kernel.shared_resources
     }
-    memo = kernel.us.memo
-    base_hits, base_misses, base_evictions = getattr(
-        kernel, "_memo_baseline", (0, 0, 0))
     return SimulationResult(
         makespan=kernel.now,
         threads=threads,
@@ -250,16 +224,9 @@ def build_result(kernel) -> SimulationResult:
         slices_merged=kernel.us.slices_merged,
         regions_committed=kernel.regions_committed,
         health=_gather_health(kernel),
-        memo_hits=memo.hits - base_hits if memo is not None else 0,
-        memo_misses=memo.misses - base_misses if memo is not None else 0,
-        memo_evictions=(memo.evictions - base_evictions
-                        if memo is not None else 0),
         engine_used=getattr(kernel, "engine_used", "object"),
         engine_fallback_reason=getattr(kernel, "engine_fallback_reason",
                                        None),
-        backend_used=getattr(kernel, "backend_used", None),
-        backend_fallback_reason=getattr(kernel, "backend_fallback_reason",
-                                        None),
     )
 
 

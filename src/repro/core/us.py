@@ -61,7 +61,6 @@ class SharedResourceScheduler:
     def __init__(self, resources: Iterable[SharedResource],
                  min_timeslice: float = 0.0,
                  fault_plan=None,
-                 memo=None,
                  batch_analysis: bool = True):
         if min_timeslice < 0:
             raise ValueError(
@@ -74,10 +73,6 @@ class SharedResourceScheduler:
         # the resource set is fixed for the scheduler's lifetime.
         self._resource_items = list(self.resources.items())
         self.fault_plan = fault_plan
-        #: Optional :class:`~repro.perf.memo.SliceMemoCache` consulted
-        #: before each model call; models that are not ``memo_safe``
-        #: (or carry un-keyable state) always see real calls.
-        self.memo = memo
         #: Whether :meth:`analyze` groups same-model resources of one
         #: timeslice into a single ``analyze_batch`` call (bit-identical
         #: results; see :mod:`repro.contention.batch`).  ``False`` runs
@@ -378,7 +373,6 @@ class SharedResourceScheduler:
             return {}
         totals: Dict[str, float] = {}
         units_map = self._window_units
-        memo = self.memo
         if self.batch_analysis:
             self._analyze_batched(priorities, start, end, totals)
         else:
@@ -389,17 +383,7 @@ class SharedResourceScheduler:
                     continue
                 slice_demand, effect = self._build_slice(
                     name, resource, demands, priorities, start, end)
-                penalties = None
-                memo_key = None
-                if memo is not None:
-                    memo_key = memo.fingerprint(resource.model,
-                                                slice_demand)
-                    if memo_key is not None:
-                        penalties = memo.get(memo_key)
-                if penalties is None:
-                    penalties = resource.model.penalties(slice_demand)
-                    if memo_key is not None:
-                        memo.put(memo_key, penalties)
+                penalties = resource.model.penalties(slice_demand)
                 self._finish_resource(totals, resource, demands, effect,
                                       penalties)
                 # The window dicts were handed to the SliceDemand (no
@@ -420,60 +404,37 @@ class SharedResourceScheduler:
         batching would break the hybrid feedback loop — a slice's
         penalties reshape the regions the *next* slice collects):
 
-        1. build each demanding resource's :class:`SliceDemand` and
-           consult the memo cache (duplicate fingerprints within the
-           slice are *deferred* rather than looked up, so the scalar
-           path's miss-then-hit counter sequence is reproduced);
-        2. group resources still needing a live evaluation by model
-           instance and evaluate each group in one ``analyze_batch``
-           call — bit-identical to per-resource calls by the batch
-           layer's exactness contract;
+        1. build each demanding resource's :class:`SliceDemand`;
+        2. group the resources by model instance and evaluate each
+           group in one ``analyze_batch`` call — bit-identical to
+           per-resource calls by the batch layer's exactness contract;
         3. replay the scalar per-resource pipeline in resource order:
-           memo stores, fault folding, validation, statistics, totals.
+           fault folding, validation, statistics, totals.
         """
         demand_map = self._window_demand
         units_map = self._window_units
-        memo = self.memo
         pending = []
-        seen_keys = set()
         for name, resource in self._resource_items:
             demands = demand_map[name]
             if not demands:
                 continue
             slice_demand, effect = self._build_slice(
                 name, resource, demands, priorities, start, end)
-            penalties = None
-            memo_key = None
-            deferred = False
-            if memo is not None:
-                memo_key = memo.fingerprint(resource.model, slice_demand)
-                if memo_key is not None:
-                    if memo_key in seen_keys:
-                        # An identical evaluation is already pending in
-                        # this slice: resolve in phase 3, after the twin
-                        # has stored its result, exactly as the scalar
-                        # path's later lookup would hit the earlier put.
-                        deferred = True
-                    else:
-                        penalties = memo.get(memo_key)
-                        if penalties is None:
-                            seen_keys.add(memo_key)
             pending.append([name, resource, demands, slice_demand,
-                            effect, memo_key, penalties, deferred])
+                            effect, None])
         # Phase 2: one batch call per model instance.  Groups smaller
         # than MIN_VECTOR_BATCH stay on phase 3's direct scalar call
         # (a batch of one only adds dispatch overhead).
         groups: Dict[int, list] = {}
         order = []
         for entry in pending:
-            if entry[6] is None and not entry[7]:
-                key = id(entry[1].model)
-                bucket = groups.get(key)
-                if bucket is None:
-                    groups[key] = [entry]
-                    order.append(key)
-                else:
-                    bucket.append(entry)
+            key = id(entry[1].model)
+            bucket = groups.get(key)
+            if bucket is None:
+                groups[key] = [entry]
+                order.append(key)
+            else:
+                bucket.append(entry)
         for key in order:
             entries = groups[key]
             if len(entries) < MIN_VECTOR_BATCH:
@@ -481,26 +442,12 @@ class SharedResourceScheduler:
             results = entries[0][1].model.analyze_batch(
                 SliceDemandBatch(entry[3] for entry in entries))
             for entry, result in zip(entries, results):
-                entry[6] = result
-                entry.append(True)  # computed live: store in the memo
+                entry[5] = result
         # Phase 3: per-resource bookkeeping, in resource order.
-        for entry in pending:
-            (name, resource, demands, slice_demand, effect, memo_key,
-             penalties, deferred) = entry[:8]
-            store = len(entry) > 8  # batch-computed in phase 2
-            if deferred:
-                penalties = memo.get(memo_key)
-                if penalties is None:
-                    # The twin's entry was evicted between its put and
-                    # now (tiny cache); recompute, as the scalar path's
-                    # missed lookup would.
-                    penalties = resource.model.penalties(slice_demand)
-                    store = True
-            elif penalties is None:
+        for name, resource, demands, slice_demand, effect, penalties \
+                in pending:
+            if penalties is None:
                 penalties = resource.model.penalties(slice_demand)
-                store = True
-            if store and memo_key is not None:
-                memo.put(memo_key, penalties)
             self._finish_resource(totals, resource, demands, effect,
                                   penalties)
             demand_map[name] = {}
@@ -561,16 +508,11 @@ class SharedResourceScheduler:
         # Priorities are trimmed to the threads actually present in
         # the slice: models only consult competitors that made
         # accesses, so unrelated threads would only bloat the
-        # SliceDemand (and every memo fingerprint derived from it).
-        # Models that declare ``uses_priorities = False`` skip the
-        # trim altogether and share one empty mapping — because the
-        # trim is a pure function of the demand's thread set (thread
-        # priorities are fixed at spawn), this collapses no memo
-        # fingerprints that the trimmed mapping would have kept
-        # distinct.  When every known thread has demand the trim is
-        # an identity and the live mapping is passed as-is
-        # (SliceDemands are ephemeral, so they never observe later
-        # priority updates).
+        # SliceDemand.  Models that declare ``uses_priorities = False``
+        # skip the trim altogether and share one empty mapping.  When
+        # every known thread has demand the trim is an identity and the
+        # live mapping is passed as-is (SliceDemands are ephemeral, so
+        # they never observe later priority updates).
         if not resource.model.uses_priorities:
             trimmed = _EMPTY_PRIORITIES
         elif priorities.keys() <= model_demands.keys():

@@ -1,7 +1,7 @@
 """One execution path for every front end: the ExecutionSession facade.
 
 Before this module existed, the store-probe -> spec-level fallback
-probe -> compile-or-load -> tiered replay -> store-commit sequence was
+probe -> compile-or-load -> replay -> store-commit sequence was
 reimplemented three times: in ``run_comparison`` (per cell), in the
 batched mesh prepass (per grid), and in the sweep supervisor (per
 shard).  Three copies of the same contract is two too many for a
@@ -14,8 +14,8 @@ everything it needs:
 * one persistent warm :class:`~repro.perf.parallel.ParallelExecutor`
   pool, reused across :meth:`map_comparisons` calls instead of being
   respawned per batch;
-* the execution-only engine/backend/``iss_engine`` selection defaults
-  (never part of any spec hash);
+* the execution-only engine/``iss_engine`` selection defaults (never
+  part of any spec hash);
 * thread-safe counters (comparisons evaluated, estimator runs computed
   vs replayed, workload builds, prepass totals) that a long-running
   service exposes on its ``/v1/stats`` endpoint.
@@ -28,7 +28,7 @@ verbatim — the method bodies *are* the original code, moved:
   else is physics);
 * a comparison whose every requested estimator hits the store performs
   **zero workload builds** — the spec-level SoA probe included;
-* engine/backend routing records a fallback reason on every divergence
+* engine routing records a fallback reason on every divergence
   (zero silent divergence), exactly as the kernel itself does.
 
 :func:`repro.experiments.runner.run_comparison`,
@@ -172,25 +172,24 @@ class ExecutionSession:
         root path) for compiled SoA programs; defaults to
         ``<store root>/programs`` in the run store's code-version
         namespace, created lazily on the first prepass.
-    engine / backend / iss_engine:
+    engine / iss_engine:
         Session-wide execution defaults (``engine="soa"``,
-        ``backend="jit"``, ``iss_engine="event"`` ...), overridable per
-        call.  Pure execution knobs: never part of any spec hash, and
-        every tier is bit-identical.
+        ``iss_engine="event"`` ...), overridable per call.  Pure
+        execution knobs: never part of any spec hash, and every engine
+        is bit-identical.
     jobs:
         Worker count of the session's persistent warm pool
         (``0`` = one per CPU, ``1`` = serial in-process).  The pool is
         spawned lazily on the first parallel :meth:`map_comparisons`
         and stays warm until :meth:`close`.
     batch_cells:
-        Default batched-prepass chunk size for :meth:`map_comparisons`
-        (``0`` disables the prepass, ``-1``/``None`` on the call means
-        "use this default").
+        Whether :meth:`map_comparisons` runs the :meth:`prepass` by
+        default: ``0`` disables it, any other value enables it
+        (``None`` on the call means "use this default").
     """
 
     def __init__(self, store=None, program_store=None,
                  engine: Optional[str] = None,
-                 backend: Optional[str] = None,
                  iss_engine: str = "event",
                  jobs: int = 1,
                  batch_cells: int = 0):
@@ -199,7 +198,6 @@ class ExecutionSession:
         self.store = as_store(store)
         self._program_store = program_store
         self.engine = engine
-        self.backend = backend
         self.iss_engine = iss_engine
         self.jobs = jobs
         self.batch_cells = batch_cells
@@ -329,9 +327,7 @@ class ExecutionSession:
                    include: Sequence[str] = ESTIMATORS,
                    fault_plan=None,
                    budget=None,
-                   memo_cache=None,
-                   engine: Optional[str] = None,
-                   backend: Optional[str] = None) -> Comparison:
+                   engine: Optional[str] = None) -> Comparison:
         """Evaluate a workload or scenario spec with every estimator.
 
         The canonical per-cell sequence (see
@@ -340,12 +336,11 @@ class ExecutionSession:
         estimator, run the misses — with the spec-level SoA fallback
         probe routing spec-visible unsupported features to the object
         engine before any workload materialization — and commit each
-        computed payload back to the store.  ``engine`` / ``backend`` /
+        computed payload back to the store.  ``engine`` and
         ``iss_engine`` default to the session-wide settings when not
         passed.
         """
         engine = engine if engine is not None else self.engine
-        backend = backend if backend is not None else self.backend
         iss_engine = (iss_engine if iss_engine is not None
                       else self.iss_engine)
         spec = None
@@ -375,8 +370,6 @@ class ExecutionSession:
             annotation = spec.annotation
             fault_plan = spec.build_fault_plan()
             budget = spec.build_budget()
-            if memo_cache is None:
-                memo_cache = spec.build_memo()
         store = self.store if spec is not None else None
         spec_hash = spec.spec_hash() if spec is not None else None
 
@@ -461,23 +454,18 @@ class ExecutionSession:
                 start = time.perf_counter()
                 engine_kwargs = ({} if mesh_engine is None
                                  else {"engine": mesh_engine})
-                if backend is not None:
-                    engine_kwargs["backend"] = backend
                 if spec is not None and spec.kind == "workload":
                     result = build_mesh_kernel(
                         get_workload(),
-                        **spec.kernel_kwargs(memo_cache=memo_cache,
-                                             **engine_kwargs)).run()
+                        **spec.kernel_kwargs(**engine_kwargs)).run()
                 elif spec is not None:
-                    result = spec.run(memo_cache=memo_cache,
-                                      **engine_kwargs)
+                    result = spec.run(**engine_kwargs)
                 else:
                     result = run_hybrid(get_workload(), model=model,
                                         min_timeslice=min_timeslice,
                                         annotation=annotation,
                                         fault_plan=fault_plan,
                                         budget=budget,
-                                        memo_cache=memo_cache,
                                         **engine_kwargs)
                 elapsed = time.perf_counter() - start
                 if spec_reason is not None:
@@ -520,19 +508,19 @@ class ExecutionSession:
 
     # -- the grid-granularity sequence --------------------------------
 
-    def prepass(self, specs: Sequence,
-                batch_cells: Optional[int] = None,
-                backend: Optional[str] = None) -> Dict[str, object]:
-        """Warm the run store's ``mesh`` artifacts in batched replays.
+    def prepass(self, specs: Sequence) -> Dict[str, object]:
+        """Warm the run store's ``mesh`` artifacts from compiled programs.
 
-        The grid-granularity execution tier (see
+        The grid-granularity sequence (see
         :func:`~repro.experiments.runner.batched_mesh_prepass` for the
         full contract): cold cells inside the SoA compiled subset are
         compiled **or** loaded from the session's program store in
-        deterministic ``spec_hash``-sorted order, batch-replayed down
-        the tier ladder, and committed into the run store with exactly
-        the payload :meth:`comparison` would have written (only
-        ``wall_seconds``, an environment measurement, differs).
+        deterministic ``spec_hash``-sorted order, replayed, and
+        committed into the run store with exactly the payload
+        :meth:`comparison` would have written (only ``wall_seconds``,
+        an environment measurement, differs).  Each cell replays and
+        commits on its own: a cell whose replay raises stays cold for
+        the per-cell path, which reproduces the canonical diagnostic.
         """
         from ..core.compile import compile_kernel, soa_spec_fallback_reason
         from ..core.errors import UnsupportedFeatureError
@@ -540,13 +528,10 @@ class ExecutionSession:
                                          program_hash, replay_batch)
         from ..scenario.spec import ScenarioSpec
 
-        backend = backend if backend is not None else self.backend
-        if batch_cells is None:
-            batch_cells = self.batch_cells
         counters: Dict[str, object] = {
             "cells_total": 0, "cells_cold": 0, "cells_batched": 0,
             "cells_skipped": 0, "compiles": 0, "program_loads": 0,
-            "backend_used": {}, "wall_seconds": 0.0}
+            "wall_seconds": 0.0}
         store = self.store
         if store is None:
             return counters
@@ -558,8 +543,6 @@ class ExecutionSession:
                 unique.setdefault(spec.spec_hash(), spec)
         ordered = sorted(unique.items())
         counters["cells_total"] = len(ordered)
-        overrides = {} if backend is None else {"backend": backend}
-        cells = []  # (spec_hash, kernel, program, busy_reference)
         for spec_hash, spec in ordered:
             if (spec_hash, "mesh") in store:
                 continue
@@ -572,15 +555,13 @@ class ExecutionSession:
             hit = program_store.get(phash)
             if hit is not None:
                 program, aux = hit
-                kernel = build_replay_kernel(spec, program,
-                                             backend=backend)
+                kernel = build_replay_kernel(spec, program)
                 busy_reference = float(aux.get("busy_reference", 0.0))
                 counters["program_loads"] += 1
             else:
                 workload = spec.build_workload()
                 self._count(workload_builds=1)
-                kernel = build_mesh_kernel(
-                    workload, **spec.kernel_kwargs(**overrides))
+                kernel = build_mesh_kernel(workload, **spec.kernel_kwargs())
                 try:
                     program = compile_kernel(kernel)
                 except UnsupportedFeatureError:
@@ -594,23 +575,9 @@ class ExecutionSession:
                                    "busy_reference": busy_reference})
                 program_store.record_compile()
                 counters["compiles"] += 1
-            cells.append((spec_hash, kernel, program, busy_reference))
-        chunk = len(cells) if batch_cells <= 0 else int(batch_cells)
-        for lo in range(0, len(cells), max(chunk, 1)):
-            group = cells[lo:lo + chunk]
-            group_start = time.perf_counter()
+            cell_start = time.perf_counter()
             try:
-                results = replay_batch(
-                    [(kernel, program)
-                     for _, kernel, program, _ in group])
-            except Exception:
-                # Leave these cells cold: the per-cell path reproduces
-                # the canonical diagnostic with full error capture.
-                continue
-            per_cell = (time.perf_counter() - group_start) / len(group)
-            tally: Dict[str, int] = counters["backend_used"]
-            for (spec_hash, kernel, _program, busy_reference), result \
-                    in zip(group, results):
+                result, = replay_batch([(kernel, program)])
                 queueing = result.queueing_cycles
                 percent = (100.0 * queueing / busy_reference
                            if busy_reference > 0 else 0.0)
@@ -619,12 +586,14 @@ class ExecutionSession:
                     "estimator": "mesh",
                     "queueing_cycles": queueing,
                     "percent_queueing": percent,
-                    "wall_seconds": per_cell,
+                    "wall_seconds": time.perf_counter() - cell_start,
                     "detail": _detail_payload("mesh", result),
                 })
-                counters["cells_batched"] += 1
-                tier = kernel.backend_used or "interp"
-                tally[tier] = tally.get(tier, 0) + 1
+            except Exception:
+                # Leave this cell cold: the per-cell path reproduces
+                # the canonical diagnostic with full error capture.
+                continue
+            counters["cells_batched"] += 1
         counters["wall_seconds"] = time.perf_counter() - start
         with self._lock:
             for name in self.prepass_totals:
@@ -641,7 +610,7 @@ class ExecutionSession:
         Each entry is one cell on the session's persistent warm pool
         (results in input order, per-cell error capture); ``kwargs``
         are forwarded to :meth:`comparison` verbatim.  Spec grids
-        flowing through the session's store first run the batched
+        flowing through the session's store first run the
         :meth:`prepass` when ``batch_cells`` (or the session default)
         is non-zero, so the per-cell workers find mesh cells warm.
         Comparisons evaluated by worker processes are folded into the
@@ -654,11 +623,9 @@ class ExecutionSession:
                                       for item in items)
         if (batch_cells and self.store is not None and all_specs
                 and "mesh" in kwargs.get("include", ESTIMATORS)):
-            self.prepass(items, batch_cells=max(batch_cells, 0),
-                         backend=kwargs.get("backend"))
+            self.prepass(items)
         cell_kwargs = dict(kwargs)
         cell_kwargs.setdefault("engine", self.engine)
-        cell_kwargs.setdefault("backend", self.backend)
         cell_kwargs.setdefault("iss_engine", self.iss_engine)
         cell_kwargs["store"] = self.store
         executor = self.executor

@@ -61,8 +61,7 @@ def run_fig4(cache_kb: int = 512,
              seed: int = 0,
              jobs: int = 1,
              store=None,
-             engine: Optional[str] = None,
-             backend: Optional[str] = None) -> List[Fig4Row]:
+             engine: Optional[str] = None) -> List[Fig4Row]:
     """Run the FFT sweep for one cache size.
 
     Each configuration is a :class:`ScenarioSpec` evaluated through
@@ -76,8 +75,7 @@ def run_fig4(cache_kb: int = 512,
     specs = fig4_specs(cache_kb=cache_kb, proc_counts=proc_counts,
                        points=points, model=model, seed=seed)
     comparisons = comparisons_for_specs(specs, jobs=jobs, store=store,
-                                        engine=engine,
-                                        backend=backend)
+                                        engine=engine)
     return [
         Fig4Row(
             processors=processors,

@@ -69,9 +69,7 @@ def run_comparison(workload,
                    include: Sequence[str] = ESTIMATORS,
                    fault_plan=None,
                    budget=None,
-                   memo_cache=None,
                    engine: Optional[str] = None,
-                   backend: Optional[str] = None,
                    store=None) -> Comparison:
     """Evaluate a workload or scenario spec with every estimator.
 
@@ -81,7 +79,7 @@ def run_comparison(workload,
         A :class:`~repro.workloads.trace.Workload`, or a
         :class:`~repro.scenario.spec.ScenarioSpec` naming a
         ``"workload"``-kind generator.  With a spec, the scenario knobs
-        (model, timeslice, annotation, fault plan, budget, memo) come
+        (model, timeslice, annotation, fault plan, budget) come
         from the spec; passing them here too raises — a spec is the
         single source of scenario identity.
     model:
@@ -99,10 +97,6 @@ def run_comparison(workload,
     budget:
         Optional :class:`~repro.robustness.budget.RunBudget` enforced
         on the hybrid kernel and both cycle engines.
-    memo_cache:
-        Optional :class:`~repro.perf.memo.SliceMemoCache` attached to
-        the hybrid estimator's kernel; may be passed alongside a spec
-        to share one cache across a sweep's cells.
     engine:
         Hybrid-kernel execution engine (``"object"`` or ``"soa"``; see
         :class:`~repro.core.kernel.HybridKernel`).  An execution knob
@@ -115,13 +109,6 @@ def run_comparison(workload,
         any workload materialization, so the fallback costs zero extra
         builds — and a comparison whose estimators all hit the run
         store still performs zero workload builds, probe included.
-    backend:
-        SoA replay backend preference (``"auto"``, ``"jit"``,
-        ``"numpy"``, or ``"interp"``; see
-        :class:`~repro.core.kernel.HybridKernel`).  Like ``engine``, a
-        pure execution knob: never part of scenario identity, and all
-        tiers are bit-identical.  Only meaningful with
-        ``engine="soa"``.
     store:
         Optional :class:`~repro.scenario.store.RunStore` (or its root
         path).  Requires a spec: estimator results are looked up by
@@ -135,38 +122,33 @@ def run_comparison(workload,
                               annotation=annotation,
                               iss_engine=iss_engine, include=include,
                               fault_plan=fault_plan, budget=budget,
-                              memo_cache=memo_cache, engine=engine,
-                              backend=backend)
+                              engine=engine)
 
 
 def batched_mesh_prepass(specs: Sequence, store,
-                         program_store=None,
-                         backend: Optional[str] = None,
-                         batch_cells: int = 0) -> Dict[str, object]:
-    """Warm a run store's ``mesh`` artifacts for a grid in batched replays.
+                         program_store=None) -> Dict[str, object]:
+    """Warm a run store's ``mesh`` artifacts for a grid of specs.
 
-    The grid-granularity execution tier (now implemented by
+    The grid-granularity sequence (implemented by
     :meth:`~repro.engine.session.ExecutionSession.prepass`): cold cells
     (no ``mesh`` artifact in ``store``) whose specs sit inside the SoA
-    compiled subset are grouped in deterministic ``spec_hash``-sorted
+    compiled subset are visited in deterministic ``spec_hash``-sorted
     order, compiled **or** loaded from the content-addressed
     :class:`~repro.core.programstore.ProgramStore` (one compilation per
     spec across processes, resumes, and warm service runs), replayed
-    through :func:`~repro.core.programstore.replay_batch` — one
-    ``prange`` mega-batch per group when Numba is importable — and each
-    committed into the run store under its own ``spec_hash`` with
-    exactly the payload :func:`run_comparison` would have written (only
-    ``wall_seconds``, an environment measurement, differs).  A
-    subsequent :func:`run_comparison` over the same specs then hits the
-    store for every warmed cell.
+    on the array interpreter and each committed into the run store
+    under its own ``spec_hash`` with exactly the payload
+    :func:`run_comparison` would have written (only ``wall_seconds``,
+    an environment measurement, differs).  A subsequent
+    :func:`run_comparison` over the same specs then hits the store for
+    every warmed cell.
 
-    Purely an execution optimization: neither ``batch_cells`` nor any
-    store path enters ``spec_hash``, and replayed results are
-    bit-identical to per-cell runs.  Specs outside the compiled subset
-    (or that fail kernel-level compilation) are skipped and fall
-    through to the ordinary per-cell path untouched; a replay failure
-    abandons the prepass the same way, leaving the canonical per-cell
-    diagnostics to surface it.
+    Purely an execution optimization: no store path enters
+    ``spec_hash``, and replayed results are bit-identical to per-cell
+    runs.  Specs outside the compiled subset (or that fail
+    kernel-level compilation) are skipped, and a cell whose replay
+    raises stays cold; both fall through to the ordinary per-cell path
+    untouched, which surfaces the canonical diagnostics.
 
     Parameters
     ----------
@@ -180,29 +162,14 @@ def batched_mesh_prepass(specs: Sequence, store,
         Optional :class:`~repro.core.programstore.ProgramStore` (or
         root path); defaults to ``<store root>/programs`` in the run
         store's code-version namespace.
-    backend:
-        SoA replay backend preference forwarded to the replay kernels.
-    batch_cells:
-        Maximum cells per replay batch; ``0`` means one batch for the
-        whole grid.
 
     Returns a counter mapping: ``cells_total`` (unique eligible specs),
     ``cells_cold``, ``cells_batched`` (warmed), ``cells_skipped``
     (outside the compiled subset), ``compiles``, ``program_loads``,
-    ``backend_used`` (per-tier tally of the replays), and
-    ``wall_seconds``.
+    and ``wall_seconds``.
     """
-    from ..scenario.store import as_store
-
-    store = as_store(store)
-    if store is None:
-        return {
-            "cells_total": 0, "cells_cold": 0, "cells_batched": 0,
-            "cells_skipped": 0, "compiles": 0, "program_loads": 0,
-            "backend_used": {}, "wall_seconds": 0.0}
-    session = ExecutionSession(store=store, program_store=program_store,
-                               backend=backend)
-    return session.prepass(specs, batch_cells=batch_cells)
+    session = ExecutionSession(store=store, program_store=program_store)
+    return session.prepass(specs)
 
 
 def run_comparisons_parallel(workloads: Sequence,
@@ -224,10 +191,9 @@ def run_comparisons_parallel(workloads: Sequence,
     With ``batch_cells`` non-zero, a spec grid flowing through a store
     first runs :func:`batched_mesh_prepass` — cold ``mesh`` cells
     inside the SoA compiled subset are compiled-or-loaded from the
-    ``program_store`` and batch-replayed into the run store, so the
-    per-cell workers below find them warm.  ``batch_cells < 0`` means
-    "one batch for the whole grid"; positive values cap each batch.
-    Purely an execution knob: results are bit-identical either way.
+    ``program_store`` and replayed into the run store, so the per-cell
+    workers below find them warm; ``0`` skips the prepass.  Purely an
+    execution knob: results are bit-identical either way.
 
     Returns one :class:`~repro.perf.parallel.CellResult` per scenario in
     input order: ``result.value`` is the :class:`Comparison`, and a
@@ -244,7 +210,6 @@ def run_comparisons_parallel(workloads: Sequence,
     with ExecutionSession(store=kwargs.pop("store", None),
                           program_store=program_store,
                           engine=kwargs.pop("engine", None),
-                          backend=kwargs.pop("backend", None),
                           jobs=jobs) as session:
         return session.map_comparisons(workloads,
                                        batch_cells=batch_cells,

@@ -1,6 +1,6 @@
-"""Performance layer: parallel cell execution + slice-penalty memoization.
+"""Performance layer: parallel cell execution and benchmark tooling.
 
-Two cooperating pieces in the direction the roadmap points ("as fast as
+Cooperating pieces in the direction the roadmap points ("as fast as
 the hardware allows"):
 
 * :mod:`repro.perf.parallel` — :class:`ParallelExecutor` maps
@@ -8,9 +8,6 @@ the hardware allows"):
   points, calibration candidates) over a process pool with
   deterministic ordering, per-cell error capture, and an in-process
   serial fallback;
-* :mod:`repro.perf.memo` — :class:`SliceMemoCache`, a bounded LRU over
-  quantized :class:`~repro.contention.base.SliceDemand` fingerprints
-  consulted by the US scheduler before calling a contention model;
 * :mod:`repro.perf.bench` — JSON benchmark-trajectory recording for
   ``benchmarks/out/``;
 * :mod:`repro.perf.profile` — hot-path benchmark harness recording
@@ -21,7 +18,6 @@ the hardware allows"):
 """
 
 from .bench import DEFAULT_OUT_DIR, environment_info, record_bench
-from .memo import MemoStats, SliceMemoCache, model_memo_key
 from .parallel import (TIMEOUT_TAG, CellError, CellResult,
                        ParallelExecutor, resolve_jobs)
 
@@ -30,8 +26,6 @@ from .parallel import (TIMEOUT_TAG, CellError, CellResult,
 # through the package so ``-m`` execution stays warning-free.
 
 __all__ = [
-    "CellError", "CellResult", "DEFAULT_OUT_DIR", "MemoStats",
-    "ParallelExecutor", "SliceMemoCache", "TIMEOUT_TAG",
-    "environment_info", "model_memo_key", "record_bench",
-    "resolve_jobs",
+    "CellError", "CellResult", "DEFAULT_OUT_DIR", "ParallelExecutor",
+    "TIMEOUT_TAG", "environment_info", "record_bench", "resolve_jobs",
 ]

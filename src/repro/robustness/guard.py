@@ -174,30 +174,6 @@ class GuardedModel(ContentionModel):
         """Whether any model in the fallback chain consults priorities."""
         return any(model.uses_priorities for model in self.models)
 
-    @property
-    def memo_safe(self) -> bool:
-        """Memoizable only while the chain has never fallen back.
-
-        A healthy guarded chain is bit-identical to its first model, so
-        replaying cached penalties is sound; after any fallback the
-        wrapper is stateful (which model answers depends on history) and
-        must keep seeing real calls.
-        """
-        return self.health.ok
-
-    def memo_token(self) -> Optional[Tuple]:
-        """Fingerprint of the chain for the slice-penalty memo cache.
-
-        Combines every chained model's own fingerprint with the scale
-        guard; ``None`` (un-keyable) as soon as any chained model is.
-        """
-        from ..perf.memo import model_memo_key
-
-        keys = tuple(model_memo_key(model) for model in self.models)
-        if any(key is None for key in keys):
-            return None
-        return (keys, self.max_penalty_factor)
-
     @classmethod
     def from_names(cls, chain: Sequence[str] = ("chenlin", "mm1",
                                                 "constant"),

@@ -14,15 +14,14 @@ report invocations, and CI jobs are warm hits instead of re-simulation.
 from .generators import (GENERATOR_KINDS, available_generators,
                          generator_kind, make_workload,
                          register_generator, resolve_generator)
-from .spec import (SCHEDULERS, MemoSpec, ModelSpec, ScenarioSpec,
-                   as_model_spec, load_spec, save_spec)
+from .spec import (SCHEDULERS, ModelSpec, ScenarioSpec, as_model_spec,
+                   load_spec, save_spec)
 from .store import CODE_VERSION_ENV, RunStore, as_store, code_version
 
 __all__ = [
     "GENERATOR_KINDS",
     "SCHEDULERS",
     "CODE_VERSION_ENV",
-    "MemoSpec",
     "ModelSpec",
     "RunStore",
     "ScenarioSpec",

@@ -6,8 +6,8 @@ through ``run_hybrid``/``build_kernel``/``run_comparison``, so a
 diffed, shipped to a worker process, or cached across runs.
 :class:`ScenarioSpec` is that identity: workload generator name and
 parameters (including the seed), contention model and knobs, annotation
-and scheduling policy, fault plan, budget, memoization, and kernel
-options, all as plain JSON values.
+and scheduling policy, fault plan, budget, and kernel options, all as
+plain JSON values.
 
 Identity is *structural*: two specs are equal iff their canonical JSON
 is equal, and :meth:`ScenarioSpec.spec_hash` (SHA-256 of the canonical
@@ -216,52 +216,10 @@ def as_model_spec(value) -> Optional[ModelSpec]:
     return ModelSpec.from_model(value)
 
 
-@dataclass(frozen=True)
-class MemoSpec:
-    """Slice-memoization configuration as data.
-
-    Mirrors the :class:`~repro.perf.memo.SliceMemoCache` constructor;
-    ``build()`` returns a fresh cache (one per run unless the caller
-    shares one explicitly).
-    """
-
-    maxsize: int = 4096
-    digits: Optional[int] = None
-
-    def build(self):
-        """Create the configured :class:`SliceMemoCache`."""
-        from ..perf.memo import SliceMemoCache
-
-        return SliceMemoCache(maxsize=self.maxsize, digits=self.digits)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (inverse of :meth:`from_dict`)."""
-        data: Dict[str, object] = {}
-        if self.maxsize != 4096:
-            data["maxsize"] = self.maxsize
-        if self.digits is not None:
-            data["digits"] = self.digits
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "MemoSpec":
-        """Build a memo spec from a plain mapping (e.g. parsed JSON)."""
-        _check_unknown(data, {"maxsize", "digits"}, "memo spec")
-        for key in ("maxsize", "digits"):
-            value = data.get(key)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, int)):
-                raise SpecValidationError(
-                    f"memo {key} must be an integer, got {value!r}",
-                    f"/{key}")
-        return cls(maxsize=data.get("maxsize", 4096),
-                   digits=data.get("digits"))
-
-
 #: ``to_dict`` key order and defaults for :class:`ScenarioSpec`.
 _SPEC_FIELDS = ("generator", "params", "model", "models",
                 "min_timeslice", "annotation", "sync_policy", "scheduler",
-                "trace", "fault_plan", "budget", "memo", "kernel_options")
+                "trace", "fault_plan", "budget", "kernel_options")
 
 
 @dataclass(frozen=True)
@@ -287,24 +245,21 @@ class ScenarioSpec:
         Serialized robustness configuration
         (:meth:`FaultPlan.to_dict` / :meth:`RunBudget.to_dict` forms),
         stored as plain mappings so spec equality stays structural.
-    memo:
-        Slice-memoization configuration (``None`` disables memoization).
     kernel_options:
         Extra :class:`~repro.core.kernel.HybridKernel` keyword
         arguments (e.g. ``slice_accounting``, ``batch_analysis``,
-        ``engine``, ``backend``).  Note that kernel options are part of
-        the spec and therefore of :meth:`spec_hash`; for knobs that are
-        pure execution choices with bit-identical results — ``engine``
-        and the SoA replay ``backend`` tier above all — prefer passing
-        overrides at run time (``spec.run(engine="soa",
-        backend="jit")``, or ``engine=`` / ``backend=`` on
+        ``engine``).  Note that kernel options are part of the spec and
+        therefore of :meth:`spec_hash`; for knobs that are pure
+        execution choices with bit-identical results — ``engine`` above
+        all — prefer passing overrides at run time
+        (``spec.run(engine="soa")``, or ``engine=`` on
         :func:`~repro.experiments.runner.run_comparison`) so the
-        scenario's content address stays engine-agnostic.  The batched
-        replay knobs — ``batch_cells`` and program-store paths — are
-        likewise pure execution parameters of the runner/sweep layer
-        and never enter the spec or :meth:`spec_hash`; a batched grid
-        and a per-cell loop produce bit-identical artifacts under the
-        same content addresses.
+        scenario's content address stays engine-agnostic.  The prepass
+        knobs — ``batch_cells`` and program-store paths — are likewise
+        pure execution parameters of the runner/sweep layer and never
+        enter the spec or :meth:`spec_hash`; a prepassed grid and a
+        per-cell loop produce bit-identical artifacts under the same
+        content addresses.
     """
 
     generator: str
@@ -318,7 +273,6 @@ class ScenarioSpec:
     trace: bool = False
     fault_plan: Optional[Mapping] = None
     budget: Optional[Mapping] = None
-    memo: Optional[MemoSpec] = None
     kernel_options: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
@@ -363,11 +317,6 @@ class ScenarioSpec:
             setter(self, "budget",
                    _plain(_as_mapping(self.budget, "budget", "/budget"),
                           "budget", "/budget"))
-        if isinstance(self.memo, Mapping):
-            try:
-                setter(self, "memo", MemoSpec.from_dict(self.memo))
-            except SpecValidationError as err:
-                raise err.at("/memo") from None
         if not isinstance(self.min_timeslice, (int, float)) \
                 or isinstance(self.min_timeslice, bool):
             raise SpecValidationError(
@@ -421,8 +370,6 @@ class ScenarioSpec:
             data["fault_plan"] = dict(self.fault_plan)
         if self.budget is not None:
             data["budget"] = dict(self.budget)
-        if self.memo is not None:
-            data["memo"] = self.memo.to_dict()
         if self.kernel_options:
             data["kernel_options"] = dict(self.kernel_options)
         return data
@@ -457,12 +404,6 @@ class ScenarioSpec:
                 except SpecValidationError as err:
                     raise err.at(f"/models/{name}") from None
             kwargs["models"] = models
-        if "memo" in kwargs and kwargs["memo"] is not None:
-            try:
-                kwargs["memo"] = MemoSpec.from_dict(
-                    _as_mapping(kwargs["memo"], "memo spec", "/"))
-            except SpecValidationError as err:
-                raise err.at("/memo") from None
         return cls(**kwargs)
 
     def validate(self) -> "ScenarioSpec":
@@ -471,12 +412,14 @@ class ScenarioSpec:
         ``__post_init__`` validates structure (types, knob names,
         JSON-plainness); this resolves the *contents* without running
         anything: the generator must be registered, the models must
-        build through the registry, and the fault plan / budget
-        mappings must deserialize.  Each failure raises
-        :class:`SpecValidationError` located at the offending field —
-        the check the service runs at admission so a bad document is a
-        400, never a worker-side crash.  Returns ``self`` for
-        chaining.
+        build through the registry, the fault plan / budget mappings
+        must deserialize, and every ``kernel_options`` key must name a
+        :class:`~repro.core.kernel.HybridKernel` keyword parameter that
+        the spec does not already hold as a field of its own.  Each
+        failure raises :class:`SpecValidationError` located at the
+        offending field — the check the service runs at admission so a
+        bad document is a 400, never a worker-side crash.  Returns
+        ``self`` for chaining.
         """
         from .generators import available_generators
 
@@ -513,6 +456,12 @@ class ScenarioSpec:
             raise
         except Exception as err:
             raise SpecValidationError(str(err), "/budget") from None
+        allowed = _kernel_option_names()
+        for key in self.kernel_options:
+            if key not in allowed:
+                raise SpecValidationError(
+                    f"unknown kernel option {key!r}; choose from "
+                    f"{sorted(allowed)}", f"/kernel_options/{key}")
         return self
 
     def canonical_json(self) -> str:
@@ -575,16 +524,12 @@ class ScenarioSpec:
 
         return RunBudget.from_dict(self.budget)
 
-    def build_memo(self):
-        """Instantiate a fresh memo cache, or ``None`` when disabled."""
-        return self.memo.build() if self.memo is not None else None
-
     def kernel_kwargs(self, **overrides) -> Dict[str, object]:
         """Live keyword arguments for ``build_kernel`` from this spec.
 
-        ``overrides`` replace spec-derived values — the main use is
-        sharing one memo cache or fault plan object across the runs of
-        a sweep instead of building one per cell.
+        ``overrides`` replace spec-derived values — e.g. an execution
+        ``engine`` chosen at run time, or one fault plan object shared
+        across the runs of a sweep instead of one built per cell.
         """
         kwargs: Dict[str, object] = {
             "model": self.build_model(),
@@ -596,7 +541,6 @@ class ScenarioSpec:
             "sync_policy": self.sync_policy,
             "fault_plan": self.build_fault_plan(),
             "budget": self.build_budget(),
-            "memo_cache": self.build_memo(),
         }
         kwargs.update(self.kernel_options)
         kwargs.update(overrides)
@@ -635,7 +579,6 @@ class ScenarioSpec:
             "trace": self.trace,
             "fault_plan": self.build_fault_plan(),
             "budget": self.build_budget(),
-            "memo_cache": self.build_memo(),
         }
         kwargs.update(self.kernel_options)
         kwargs.update(overrides)
@@ -644,6 +587,22 @@ class ScenarioSpec:
     def run(self, **overrides):
         """Build the kernel and run it to completion."""
         return self.build_kernel(**overrides).run()
+
+
+def _kernel_option_names():
+    """Keyword parameters a spec's ``kernel_options`` may set.
+
+    Every :class:`~repro.core.kernel.HybridKernel` keyword parameter
+    except the platform itself (processors and shared resources come
+    from the workload) and the knobs the spec holds as typed fields of
+    its own (``scheduler``, ``fault_plan``, ...), which the spec builds
+    into live objects before they reach the kernel.
+    """
+    from ..core.kernel import HybridKernel
+
+    params = inspect.signature(HybridKernel.__init__).parameters
+    return (frozenset(params) - {"self", "processors", "shared_resources"}
+            - frozenset(_SPEC_FIELDS))
 
 
 def load_spec(path: str) -> ScenarioSpec:

@@ -82,9 +82,8 @@ class ServiceConfig:
     #: which keeps the session's kernel-run counters exact).
     jobs: int = 1
     engine: Optional[str] = None
-    backend: Optional[str] = None
-    #: Default batched-prepass chunking for drained batches
-    #: (``-1`` = one batch per drain, ``0`` disables the prepass).
+    #: Whether drained batches run the mesh prepass first (non-zero,
+    #: the default) or skip it (``0``).
     batch_cells: int = -1
     #: Default per-request deadline (seconds) when the body names none.
     deadline_seconds: float = 30.0
@@ -110,7 +109,7 @@ class AnalyzeService:
         self.config = config
         self.session = session if session is not None else \
             ExecutionSession(store=config.store, engine=config.engine,
-                             backend=config.backend, jobs=config.jobs,
+                             jobs=config.jobs,
                              batch_cells=config.batch_cells)
         self.quotas = QuotaRegistry(
             capacity=config.quota_capacity,

@@ -98,10 +98,6 @@ class CellOutcome:
     #: (``"soa"`` / ``"object"``), ``"cached"`` when the mesh run was
     #: replayed from the store, or ``None`` when mesh was not included.
     mesh_engine: Optional[str] = None
-    #: SoA replay backend tier the mesh estimator actually used
-    #: (``"jit"`` / ``"numpy"`` / ``"interp"``), ``"cached"`` for store
-    #: replays, ``None`` for object-engine or non-mesh cells.
-    mesh_backend: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -123,7 +119,7 @@ class SweepResult:
     cells: List[CellOutcome]
     counters: Dict[str, int]
     store_stats: Dict[str, int]
-    #: Counters from the batched mesh prepass (see
+    #: Counters from the mesh prepass (see
     #: :func:`~repro.experiments.runner.batched_mesh_prepass`), or
     #: ``None`` when the prepass did not run.
     prepass: Optional[Dict[str, object]] = None
@@ -189,32 +185,22 @@ class SweepResult:
         return "\n".join(lines)
 
     def _tally_lines(self) -> List[str]:
-        """Per-engine/backend tallies of the mesh runs, CI-greppable.
+        """Per-engine tally of the mesh runs, CI-greppable.
 
-        A silent fallback regression (cells quietly dropping from the
-        jit tier to interp, or from SoA to the object engine) shows up
-        as a changed tally, exactly like the "recomputed estimator
-        runs: 0" contract line makes recomputation regressions
-        greppable.
+        A silent fallback regression (cells quietly dropping from SoA
+        to the object engine) shows up as a changed tally, exactly like
+        the "recomputed estimator runs: 0" contract line makes
+        recomputation regressions greppable.
         """
         engines: Dict[str, int] = {}
-        backends: Dict[str, int] = {}
         for cell in self.cells:
             if cell.mesh_engine is not None:
                 engines[cell.mesh_engine] = \
                     engines.get(cell.mesh_engine, 0) + 1
-            if cell.mesh_backend is not None:
-                backends[cell.mesh_backend] = \
-                    backends.get(cell.mesh_backend, 0) + 1
-        lines = []
-        if engines:
-            lines.append("  engine_used: " + " ".join(
-                f"{name}={engines[name]}" for name in sorted(engines)))
-        if backends:
-            lines.append("  backend_used: " + " ".join(
-                f"{name}={backends[name]}"
-                for name in sorted(backends)))
-        return lines
+        if not engines:
+            return []
+        return ["  engine_used: " + " ".join(
+            f"{name}={engines[name]}" for name in sorted(engines))]
 
 
 def _fabric_cell(config: Dict, spec: ScenarioSpec) -> Dict:
@@ -234,21 +220,18 @@ def _fabric_cell(config: Dict, spec: ScenarioSpec) -> Dict:
                      version=config["store_version"], tmp_max_age=None)
     include = tuple(config["include"])
     comparison = run_comparison(spec, include=include, store=store,
-                                engine=config.get("engine"),
-                                backend=config.get("backend"))
-    mesh_engine = mesh_backend = None
+                                engine=config.get("engine"))
+    mesh_engine = None
     mesh = comparison.runs.get("mesh")
     if mesh is not None:
         if mesh.cached:
-            mesh_engine = mesh_backend = "cached"
+            mesh_engine = "cached"
         else:
             mesh_engine = getattr(mesh.detail, "engine_used", "object")
-            mesh_backend = getattr(mesh.detail, "backend_used", None)
     return {
         "spec_hash": spec_hash,
         "cached_runs": comparison.cached_runs,
         "mesh_engine": mesh_engine,
-        "mesh_backend": mesh_backend,
         "runs": {
             name: {"queueing_cycles": run.queueing_cycles,
                    "percent_queueing": run.percent_queueing,
@@ -285,19 +268,17 @@ class SweepSupervisor:
                  cell_timeout: Optional[float] = None,
                  chaos: Optional[ChaosPlan] = None,
                  engine: Optional[str] = None,
-                 backend: Optional[str] = None,
                  batch_cells: int = 0,
                  program_store=None,
                  sleep=time.sleep):
         #: The execution facade this sweep routes through: it owns the
-        #: run store, the companion program store, and the engine /
-        #: backend selection shared by the probe, the batched prepass,
+        #: run store, the companion program store, and the engine
+        #: selection shared by the probe, the prepass,
         #: and (transitively, via :func:`run_comparison` in the worker
         #: cells) every dispatched cell.
         self.session = ExecutionSession(store=store,
                                         program_store=program_store,
-                                        engine=engine, backend=backend,
-                                        jobs=jobs,
+                                        engine=engine, jobs=jobs,
                                         batch_cells=batch_cells)
         self.store = self.session.store
         if self.store is None:
@@ -315,16 +296,13 @@ class SweepSupervisor:
         #: None).  Execution-only: never part of spec hashes, so cached
         #: payloads from either engine replay interchangeably.
         self.engine = engine
-        #: SoA replay backend preference for every cell ("auto"/"jit"/
-        #: "numpy"/"interp"/None).  Execution-only, like ``engine``.
-        self.backend = backend
-        #: Batched mesh prepass knob: non-zero warms cold mesh cells
-        #: through the grid-granularity replay before probing (see
+        #: Mesh prepass knob: non-zero warms cold mesh cells through
+        #: the grid-granularity replay before probing (see
         #: :meth:`~repro.engine.session.ExecutionSession.prepass`).
         #: Execution-only — never part of spec hashes or the plan hash.
         self.batch_cells = batch_cells
         self.program_store = program_store
-        #: Counters of the last batched prepass (``None`` until run).
+        #: Counters of the last prepass (``None`` until run).
         self.prepass_counters: Optional[Dict[str, object]] = None
         self.sleep = sleep
         if manifest_path is None:
@@ -367,9 +345,7 @@ class SweepSupervisor:
                     } for name, payload in payloads.items()},
                     cached_runs=len(self.include),
                     mesh_engine=("cached" if "mesh" in payloads
-                                 else None),
-                    mesh_backend=("cached" if "mesh" in payloads
-                                  else None))
+                                 else None))
 
     def _cell_config(self) -> Dict:
         return {
@@ -378,7 +354,6 @@ class SweepSupervisor:
             "include": list(self.include),
             "chaos": self.chaos.to_dict() if self.chaos else None,
             "engine": self.engine,
-            "backend": self.backend,
             "supervisor_pid": os.getpid(),
         }
 
@@ -402,8 +377,7 @@ class SweepSupervisor:
                     index=index, spec_hash=ack["spec_hash"],
                     source="computed", runs=ack["runs"],
                     cached_runs=ack["cached_runs"],
-                    mesh_engine=ack.get("mesh_engine"),
-                    mesh_backend=ack.get("mesh_backend"))
+                    mesh_engine=ack.get("mesh_engine"))
             else:
                 failures.append((index, result.error))
         return failures
@@ -560,9 +534,7 @@ class SweepSupervisor:
                 "path cannot SIGKILL a worker (there is none), so the "
                 "kill plan would silently not exercise anything")
         if self.batch_cells and "mesh" in self.include:
-            self.prepass_counters = self.session.prepass(
-                self.plan.specs,
-                batch_cells=max(self.batch_cells, 0))
+            self.prepass_counters = self.session.prepass(self.plan.specs)
         self._probe()
         try:
             for shard in self.plan.shards:

@@ -46,7 +46,6 @@ def build_kernel(workload: Workload,
                  sync_policy: str = "eager",
                  fault_plan=None,
                  budget=None,
-                 memo_cache=None,
                  **kernel_options) -> HybridKernel:
     """Assemble a ready-to-run :class:`HybridKernel` for ``workload``.
 
@@ -74,10 +73,6 @@ def build_kernel(workload: Workload,
     budget:
         Optional :class:`~repro.robustness.budget.RunBudget` enforced
         by the kernel run loop.
-    memo_cache:
-        Optional :class:`~repro.perf.memo.SliceMemoCache` consulted
-        before each analytical model call (may be shared across
-        kernels to amortize warm-up over a sweep).
     kernel_options:
         Extra :class:`HybridKernel` keyword arguments
         (``slice_accounting``, ``batch_analysis``, ``engine``, ...),
@@ -95,8 +90,7 @@ def build_kernel(workload: Workload,
                 ("scheduler", scheduler, None), ("trace", trace, False),
                 ("sync_policy", sync_policy, "eager"),
                 ("fault_plan", fault_plan, None),
-                ("budget", budget, None),
-                ("memo_cache", memo_cache, None)):
+                ("budget", budget, None)):
             if value != default:
                 overrides[key] = value
         return spec.build_kernel(**overrides)
@@ -122,7 +116,7 @@ def build_kernel(workload: Workload,
                           min_timeslice=min_timeslice, trace=trace,
                           sync_policy=sync_policy,
                           fault_plan=fault_plan, budget=budget,
-                          memo_cache=memo_cache, **kernel_options)
+                          **kernel_options)
     barriers = {
         name: Barrier(parties, name=name)
         for name, parties in workload.barrier_parties().items()

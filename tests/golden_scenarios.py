@@ -3,11 +3,18 @@
 The golden equivalence suite (``test_core_kernel_equivalence.py``) pins
 the hybrid kernel's observable behavior bit-for-bit: every scenario here
 is run across the full configuration matrix (sync policy x min_timeslice
-x fault plan x memo cache) and the complete outcome — statistics, trace
-event stream, memo counters — is serialized with exact float values
-(``float.hex``).  The committed snapshot file ``data/golden_kernel.json``
-was generated by the *seed* kernel (pre-optimization, PR 2 state) via
-``generate_golden.py``; optimized kernel paths must reproduce it exactly.
+x fault plan) and the complete outcome — statistics and trace event
+stream — is serialized with exact float values (``float.hex``).  The
+committed snapshot file ``data/golden_kernel.json`` was generated by the
+*seed* kernel (pre-optimization) via ``generate_golden.py``; optimized
+kernel paths must reproduce it exactly.
+
+The snapshot file predates the removal of the kernel's slice-memo cache
+and still carries that axis: every configuration has a ``memo=0`` and a
+``memo=1`` entry, each with a ``memo`` hit/miss/eviction counter
+triple.  A memoized run was the same run plus counters, so both entries
+of a configuration are checked against one memo-less run on every field
+except that triple (:func:`iter_golden_entries`, :func:`golden_expected`).
 
 Scenarios deliberately cover the kernel features that interact with
 slice accounting: multi-resource demand, regions without accesses,
@@ -26,7 +33,6 @@ from repro.core.events import (acquire, barrier_wait, cond_notify,
                                sem_release, spawn)
 from repro.core.scheduler import PriorityScheduler
 from repro.core.sync import Barrier, ConditionVariable, Mutex, Semaphore
-from repro.perf.memo import SliceMemoCache
 from repro.robustness.faults import FaultPlan, FaultWindow
 
 SYNC_POLICIES = ("eager", "deferred")
@@ -216,21 +222,20 @@ for _name, _factory in SCENARIOS.items():
                        replace=True)
 
 
-def spec_for(scenario: str, policy: str, mts: float, fault: bool,
-             memo: bool) -> ScenarioSpec:
+def spec_for(scenario: str, policy: str, mts: float,
+             fault: bool) -> ScenarioSpec:
     """The :class:`ScenarioSpec` equivalent of one configuration cell."""
     return ScenarioSpec(
         generator=f"golden-{scenario}",
         sync_policy=policy,
         min_timeslice=mts,
         fault_plan=make_fault_plan().to_dict() if fault else None,
-        memo={"maxsize": 32} if memo else None,
         trace=True,
     )
 
 
 def run_config_from_spec(scenario: str, policy: str, mts: float,
-                         fault: bool, memo: bool) -> dict:
+                         fault: bool) -> dict:
     """Run one configuration spec-driven and return its snapshot.
 
     The spec is round-tripped through its canonical JSON first, so the
@@ -240,7 +245,7 @@ def run_config_from_spec(scenario: str, policy: str, mts: float,
     import json
 
     spec = ScenarioSpec.from_dict(
-        json.loads(spec_for(scenario, policy, mts, fault, memo)
+        json.loads(spec_for(scenario, policy, mts, fault)
                    .canonical_json()))
     kernel = spec.build_kernel()
     result = kernel.run()
@@ -248,24 +253,47 @@ def run_config_from_spec(scenario: str, policy: str, mts: float,
 
 
 def iter_configs():
-    """Every (scenario, sync_policy, min_timeslice, fault, memo) cell."""
+    """Every (scenario, sync_policy, min_timeslice, fault) cell."""
     for scenario in SCENARIOS:
         for policy in SYNC_POLICIES:
             for mts in MIN_TIMESLICES:
                 for fault in (False, True):
-                    for memo in (False, True):
-                        yield scenario, policy, mts, fault, memo
+                    yield scenario, policy, mts, fault
+
+
+def iter_golden_entries():
+    """Every snapshot-file entry as ``(config, memo)``.
+
+    Two entries per configuration: the file's ``memo=0`` and ``memo=1``
+    keys (see the module docstring).
+    """
+    for config in iter_configs():
+        for memo in (False, True):
+            yield config, memo
 
 
 def config_key(scenario: str, policy: str, mts: float, fault: bool,
-               memo: bool) -> str:
-    """Stable snapshot-dictionary key for one configuration."""
+               memo: bool = False) -> str:
+    """Stable snapshot-dictionary key for one configuration entry."""
     return (f"{scenario}|{policy}|mts={mts:g}|fault={int(fault)}"
             f"|memo={int(memo)}")
 
 
+def golden_expected(golden: dict, config, memo: bool) -> dict:
+    """One entry's snapshot without its ``memo`` counter triple.
+
+    A ``memo=0`` entry must carry all-zero counters, as every run does
+    now; a ``memo=1`` entry's counters describe a cache that is gone.
+    """
+    expected = dict(golden[config_key(*config, memo)])
+    counters = expected.pop("memo")
+    if not memo:
+        assert counters == [0, 0, 0]
+    return expected
+
+
 def run_config(scenario: str, policy: str, mts: float, fault: bool,
-               memo: bool, **kernel_kwargs) -> dict:
+               **kernel_kwargs) -> dict:
     """Run one configuration and return its serialized snapshot.
 
     Extra ``kernel_kwargs`` reach the :class:`HybridKernel` constructor,
@@ -276,7 +304,6 @@ def run_config(scenario: str, policy: str, mts: float, fault: bool,
         sync_policy=policy,
         min_timeslice=mts,
         fault_plan=make_fault_plan() if fault else None,
-        memo_cache=SliceMemoCache(maxsize=32) if memo else None,
         trace=True,
         **kernel_kwargs)
     result = kernel.run()
@@ -305,8 +332,6 @@ def snapshot(kernel, result) -> dict:
         "regions_committed": result.regions_committed,
         "slices_analyzed": result.slices_analyzed,
         "slices_merged": result.slices_merged,
-        "memo": [result.memo_hits, result.memo_misses,
-                 result.memo_evictions],
         "queueing": _hex(result.queueing_cycles),
         "threads": {
             name: [_hex(t.base_time), _hex(t.penalty), t.regions,

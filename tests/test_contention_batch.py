@@ -3,7 +3,7 @@
 Complements :mod:`tests.test_contention_batch_properties` (randomized
 bit-identity) with targeted behaviour: batch container semantics,
 grouped dispatch, scheduler-level equivalence with shared model
-instances and memoization, and ``GuardedModel`` batch fallback.
+instances, and ``GuardedModel`` batch fallback.
 """
 
 import pytest
@@ -20,7 +20,6 @@ from repro.core.resource import Processor
 from repro.core.shared import SharedResource
 from repro.core.thread import LogicalThread
 from repro.core.us import SharedResourceScheduler
-from repro.perf.memo import SliceMemoCache
 from repro.robustness.guard import GuardedModel
 
 
@@ -123,15 +122,14 @@ def _drive(scheduler, resource_names, slices=6, threads=4):
 
 
 def _make_resources():
-    """Mixed fleet: one shared model, a unique model, memo-unsafe, guarded."""
+    """Mixed fleet: one shared model, two unique models, guarded."""
     shared = ChenLinModel()
-    unsafe = MM1Model()
-    unsafe.memo_safe = False
+    other = MM1Model()
     return lambda: (
         [SharedResource(f"s{i}", shared, service_time=2.0)
          for i in range(8)]
         + [SharedResource("solo", MM1Model(), service_time=3.0),
-           SharedResource("unsafe", unsafe, service_time=2.0),
+           SharedResource("other", other, service_time=2.0),
            SharedResource("guarded",
                           GuardedModel([ChenLinModel(), ConstantModel(1.0)]),
                           service_time=2.0)])
@@ -148,19 +146,6 @@ class TestSchedulerBatchEquivalence:
         for b, s in zip(batch_res, scalar_res):
             assert b.total_penalty == s.total_penalty
             assert b.penalty_by_thread == s.penalty_by_thread
-
-    def test_batch_preserves_memo_counters(self):
-        make = _make_resources()
-        results = {}
-        for flag in (True, False):
-            memo = SliceMemoCache()
-            scheduler = SharedResourceScheduler(make(), memo=memo,
-                                                batch_analysis=flag)
-            totals = _drive(scheduler, list(scheduler.resources))
-            stats = memo.stats()
-            results[flag] = (totals, stats.hits, stats.misses)
-        assert results[True] == results[False]
-        assert results[True][1] > 0  # repeated windows actually hit
 
     def test_shared_model_many_resources(self):
         model = ChenLinModel()

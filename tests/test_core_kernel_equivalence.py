@@ -5,11 +5,12 @@ hot-path rewrite of the kernel core:
 
 * **Golden snapshots** — every scenario in ``golden_scenarios`` runs
   across the full configuration matrix (sync policy x min_timeslice x
-  fault plan x memo cache) in *both* accounting modes, and the
-  hex-float serialization of the entire outcome (statistics, trace
-  stream, memo hit/miss/eviction counters) must equal the committed
-  snapshot produced by the seed kernel.  Any float that drifts by even
-  one ulp fails here.
+  fault plan) in *both* accounting modes, and the hex-float
+  serialization of the entire outcome (statistics and trace stream)
+  must equal every committed snapshot entry of that configuration
+  produced by the seed kernel (both entries of the file's retired memo
+  axis, minus their memo counters).  Any float that drifts by even one
+  ulp fails here.
 * **Property-based cross-check** — hypothesis generates small random
   workloads and asserts ``slice_accounting="incremental"`` and
   ``"rescan"`` agree exactly on workloads nobody hand-picked.
@@ -25,7 +26,8 @@ import pathlib
 import pytest
 
 from golden_scenarios import (MIN_TIMESLICES, SYNC_POLICIES, config_key,
-                              iter_configs, run_config, snapshot)
+                              golden_expected, iter_configs,
+                              iter_golden_entries, run_config, snapshot)
 from repro.contention import ChenLinModel, ConstantModel
 from repro.core import (HybridKernel, LogicalThread, Processor,
                         SharedResource)
@@ -37,6 +39,7 @@ GOLDEN_PATH = (pathlib.Path(__file__).parent / "data" /
 ACCOUNTING_MODES = ("incremental", "rescan")
 
 CONFIGS = list(iter_configs())
+ENTRIES = list(iter_golden_entries())
 
 
 @pytest.fixture(scope="module")
@@ -55,21 +58,21 @@ class TestMatrixCoverage:
         assert 0.0 in MIN_TIMESLICES
         assert any(mts > 0 for mts in MIN_TIMESLICES)
         faults = {cfg[3] for cfg in CONFIGS}
-        memos = {cfg[4] for cfg in CONFIGS}
         assert faults == {False, True}
-        assert memos == {False, True}
 
     def test_snapshot_file_complete(self, golden):
-        assert set(golden) == {config_key(*cfg) for cfg in CONFIGS}
+        assert set(golden) == {config_key(*cfg, memo)
+                               for cfg, memo in ENTRIES}
 
 
 @pytest.mark.parametrize("mode", ACCOUNTING_MODES)
 @pytest.mark.parametrize(
-    "cfg", CONFIGS, ids=[config_key(*cfg) for cfg in CONFIGS])
-def test_matches_seed_golden(cfg, mode, golden):
+    "cfg,memo", ENTRIES,
+    ids=[config_key(*cfg, memo) for cfg, memo in ENTRIES])
+def test_matches_seed_golden(cfg, memo, mode, golden):
     """Both accounting paths reproduce the seed kernel bit-for-bit."""
     assert run_config(*cfg, slice_accounting=mode) == \
-        golden[config_key(*cfg)]
+        golden_expected(golden, cfg, memo)
 
 
 def _run_random(threads, policy, mts, mode):

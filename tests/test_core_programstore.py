@@ -1,23 +1,23 @@
-"""Program store + batched grid replay: caching, batching, fidelity.
+"""Program store + grid replay: caching, prepass, fidelity.
 
 Three claims under test:
 
-* **Bit identity regardless of batching** — a compiled program replayed
-  through the batched grid replayer must produce hex-identical results
-  whatever the batch size or composition; a program loaded from the
+* **Bit identity regardless of grid composition** — compiled programs
+  replayed through :func:`~repro.core.programstore.replay_batch` must
+  produce hex-identical results whatever the grid's composition or
+  order; a program loaded from the
   :class:`~repro.core.programstore.ProgramStore` must be
   indistinguishable from the one just compiled.  Verified over the
-  equivalence kernels (hypothesis-drawn compositions plus pinned batch
-  sizes 1 / 2 / 7 / full grid), the ``golden_soa.json`` sync configs,
-  and the full 80-configuration golden matrix (which, tracing, must
-  stay out of the program cache entirely — its object-engine equality
-  is pinned by ``test_core_soa``).
+  equivalence kernels (hypothesis-drawn compositions), the
+  ``golden_soa.json`` sync configs, and the full golden configuration
+  matrix (which, tracing, must stay out of the program cache entirely
+  — its object-engine equality is pinned by ``test_core_soa``).
 * **RunStore discipline** — corrupt or stale-format bundles count as
   misses (recompiling is always correct), code-version changes miss by
   construction (``program_hash`` covers them), writes are atomic, and
   orphaned ``*.tmp`` debris is swept on open.
 * **Compile-once economics** — a warm store satisfies a whole grid
-  with zero compiles, the batched prepass writes artifacts identical
+  with zero compiles, the prepass writes artifacts identical
   to per-cell ``run_comparison`` (modulo ``wall_seconds``, a wall-clock
   measurement), and neither ``batch_cells`` nor any store path ever
   enters ``spec_hash``.
@@ -37,12 +37,10 @@ from golden_scenarios import (SCENARIOS, config_key, iter_configs,
 from golden_soa_scenarios import (SOA_GOLDEN_PATH, iter_soa_configs,
                                   soa_config_key, soa_kernel,
                                   soa_snapshot)
-from test_core_soa import (EQUIVALENCE_KERNELS, JIT_ELIGIBLE,
-                           needs_numpy, result_snapshot)
-from repro.core import compile_kernel, jit_replay_reason
+from test_core_soa import EQUIVALENCE_KERNELS, needs_numpy, result_snapshot
+from repro.core import compile_kernel
 from repro.core.compile import COMPILE_SUBSET_VERSION
 from repro.core.errors import UnsupportedFeatureError
-from repro.core.jit import run_programs_jit
 from repro.core.programstore import (FORMAT_VERSION, ProgramStore,
                                      as_program_store, bind_program,
                                      build_replay_kernel, program_hash,
@@ -50,14 +48,8 @@ from repro.core.programstore import (FORMAT_VERSION, ProgramStore,
 from repro.experiments.runner import (batched_mesh_prepass,
                                       run_comparison,
                                       run_comparisons_parallel)
-from repro.perf.memo import SliceMemoCache
 from repro.scenario.store import RunStore, code_version
 from repro.sweepfabric.grids import fig5_grid
-
-#: Equivalence kernels inside the JIT subset — the grid replayer's
-#: admission set (``jit_replay_reason`` is re-checked per test).
-ELIGIBLE = sorted(name for name in EQUIVALENCE_KERNELS
-                  if JIT_ELIGIBLE[name])
 
 _REFS = {}
 
@@ -133,7 +125,7 @@ def test_store_roundtrip_replays_bit_identically(name, tmp_path):
     "cfg", list(iter_soa_configs()),
     ids=[soa_config_key(*cfg) for cfg in iter_soa_configs()])
 def test_golden_soa_configs_roundtrip_batched(cfg, tmp_path):
-    """Sync goldens survive the store and the batched replay path."""
+    """Sync goldens survive the store and the grid replay path."""
     name, mts = cfg
     golden = json.loads(SOA_GOLDEN_PATH.read_text(
         encoding="utf-8"))[soa_config_key(name, mts)]
@@ -154,77 +146,40 @@ def test_golden_soa_configs_roundtrip_batched(cfg, tmp_path):
 def test_golden_matrix_configs_stay_out_of_the_program_cache(cfg):
     """Every golden config refuses compilation, so none can be cached.
 
-    The 80-configuration matrix traces, which the compiled subset
-    rejects — the batched path therefore reproduces these goldens by
+    The golden matrix traces, which the compiled subset rejects — the
+    prepass therefore reproduces these goldens by
     *never taking them*: they fall through to the object engine, whose
     snapshot equality ``test_core_soa`` pins.  A config slipping into
     the compiled subset here would silently change that contract.
     """
-    scenario, policy, mts, fault, memo = cfg
+    scenario, policy, mts, fault = cfg
     kernel = SCENARIOS[scenario](
         sync_policy=policy,
         min_timeslice=mts,
         fault_plan=make_fault_plan() if fault else None,
-        memo_cache=SliceMemoCache(maxsize=32) if memo else None,
         trace=True)
     with pytest.raises(UnsupportedFeatureError):
         compile_kernel(kernel)
 
 
 # ---------------------------------------------------------------------
-# batched grid replay: batch size and composition never matter
+# grid replay: composition and order never matter
 # ---------------------------------------------------------------------
 
 
 @needs_numpy
 @settings(max_examples=12, deadline=None)
-@given(names=st.lists(st.sampled_from(ELIGIBLE), min_size=1,
-                      max_size=7),
+@given(names=st.lists(st.sampled_from(sorted(EQUIVALENCE_KERNELS)),
+                      min_size=1, max_size=7),
        seed=st.integers(min_value=0, max_value=2 ** 16))
 def test_batched_grid_replay_matches_per_cell(names, seed):
-    """Any composition, any order: the mega-batch equals per-cell runs.
-
-    Exercises the pure-Python grid twin on Numba-less hosts and the
-    compiled ``prange`` grid where Numba is importable — the identical
-    float64 operations either way.
-    """
+    """Any composition, any order: a grid replay equals per-cell runs."""
     names = list(names)
     random.Random(seed).shuffle(names)
-    cells = [_cell(name) for name in names]
-    for kernel, program in cells:
-        assert jit_replay_reason(kernel, program,
-                                 require_numba=False) is None
-    results = run_programs_jit(cells)
+    results = replay_batch([_cell(name) for name in names])
     assert [result_snapshot(r) for r in results] == \
         [_ref(name) for name in names]
-
-
-@needs_numpy
-@pytest.mark.parametrize("batch", [1, 2, 7, None],
-                         ids=["batch1", "batch2", "batch7", "fullgrid"])
-def test_batch_size_never_changes_results(batch):
-    """Chunked replays of one shuffled grid all agree with references."""
-    names = [name for name in ELIGIBLE for _ in range(2)]
-    random.Random(1234).shuffle(names)
-    size = len(names) if batch is None else batch
-    snaps = []
-    for start in range(0, len(names), size):
-        chunk = names[start:start + size]
-        snaps.extend(result_snapshot(r) for r in
-                     run_programs_jit([_cell(n) for n in chunk]))
-    assert snaps == [_ref(name) for name in names]
-
-
-@needs_numpy
-def test_replay_batch_mixed_grid_reports_tiers_honestly():
-    """Ineligible cells ride the tier ladder; every result matches."""
-    names = sorted(EQUIVALENCE_KERNELS)
-    cells = [_cell(name) for name in names]
-    results = replay_batch(cells)
-    for name, (kernel, _program), result in zip(names, cells, results):
-        assert result_snapshot(result) == _ref(name)
-        assert result.engine_used == "soa"
-        assert result.backend_used in ("jit", "numpy", "interp")
+    assert all(result.engine_used == "soa" for result in results)
 
 
 # ---------------------------------------------------------------------
@@ -309,7 +264,7 @@ def test_as_program_store_coerces_paths(tmp_path):
 
 
 # ---------------------------------------------------------------------
-# batched prepass: compile once, replay everywhere, same artifacts
+# prepass: compile once, replay everywhere, same artifacts
 # ---------------------------------------------------------------------
 
 
@@ -345,7 +300,7 @@ def test_warm_program_store_performs_zero_compiles(tmp_path):
 
 @needs_numpy
 def test_prepass_artifacts_match_per_cell_runs(tmp_path):
-    """The batched path writes what ``run_comparison`` would have.
+    """The prepass writes what ``run_comparison`` would have.
 
     Only ``wall_seconds`` — an environment measurement, not a result —
     may differ between the two execution strategies.
@@ -369,24 +324,24 @@ def test_prepass_artifacts_match_per_cell_runs(tmp_path):
 
 @needs_numpy
 def test_batch_cells_is_execution_only(tmp_path):
-    """Chunked and whole-grid prepasses write identical artifacts, and
-    a warm run store leaves nothing cold regardless of chunking."""
+    """With and without the prepass a grid commits identical artifacts,
+    and a warm run store leaves nothing cold for a later prepass."""
     specs = fig5_grid(quick=True)
-    chunked_store = RunStore(tmp_path / "chunked")
-    batched_mesh_prepass(specs, chunked_store,
-                         program_store=tmp_path / "p1", batch_cells=1)
-    whole_store = RunStore(tmp_path / "whole")
-    batched_mesh_prepass(specs, whole_store,
-                         program_store=tmp_path / "p2", batch_cells=0)
+    stores = {}
+    for batch_cells in (0, 1):
+        stores[batch_cells] = RunStore(tmp_path / f"store{batch_cells}")
+        run_comparisons_parallel(
+            specs, jobs=1, include=("mesh",), engine="soa",
+            store=stores[batch_cells], batch_cells=batch_cells,
+            program_store=tmp_path / f"p{batch_cells}")
     for spec in specs:
-        a = chunked_store.get(spec.spec_hash(), "mesh")
-        b = whole_store.get(spec.spec_hash(), "mesh")
+        a = stores[0].get(spec.spec_hash(), "mesh")
+        b = stores[1].get(spec.spec_hash(), "mesh")
         a.pop("wall_seconds")
         b.pop("wall_seconds")
         assert a == b
-    again = batched_mesh_prepass(specs, chunked_store,
-                                 program_store=tmp_path / "p1",
-                                 batch_cells=2)
+    again = batched_mesh_prepass(specs, stores[1],
+                                 program_store=tmp_path / "p1")
     assert again["cells_cold"] == 0
     assert again["compiles"] == 0
 
@@ -400,7 +355,7 @@ def test_batch_knobs_never_enter_spec_hash(tmp_path):
     assert "batch_cells" not in serialized
     assert "program_store" not in serialized
     batched_mesh_prepass([spec], RunStore(tmp_path / "s"),
-                         program_store=tmp_path / "p", batch_cells=1)
+                         program_store=tmp_path / "p")
     assert spec.spec_hash() == before
 
 
@@ -417,11 +372,11 @@ def test_run_comparisons_parallel_batches_cold_grids(tmp_path):
 
 @needs_numpy
 def test_sweep_summary_reports_tallies_and_prepass(tmp_path):
-    """The sweep summary tallies engines/backends and the prepass.
+    """The sweep summary tallies engines and the prepass.
 
-    The tally lines are the CI-greppable record of which execution
-    tier actually served a sweep — a silent tier downgrade shows up as
-    a changed ``backend_used:`` line.
+    The tally line is the CI-greppable record of which engine actually
+    served a sweep — a silent fallback shows up as a changed
+    ``engine_used:`` line.
     """
     from repro.sweepfabric import run_sharded_sweep
 
@@ -433,7 +388,7 @@ def test_sweep_summary_reports_tallies_and_prepass(tmp_path):
     assert f"batched prepass: warmed {len(specs)} cell(s)" in text
     assert f"compiles={len(specs)} program_loads=0 skipped=0" in text
     assert "engine_used:" in text
-    assert "backend_used:" in text
+    assert "backend_used:" not in text
     assert f"cached={len(specs)}" in text
 
 

@@ -13,17 +13,12 @@ Three layers of defense around ``HybridKernel(engine="soa")``:
   objects — dataclass equality over exact floats.
 * **Zero silent divergence** — every feature outside the compiled
   subset must route to the object engine with a recorded reason; the
-  full golden matrix (80 snapshot configurations) re-runs under
+  full golden matrix (all 80 snapshot entries) re-runs under
   ``engine="soa"`` and must both match the seed snapshots and carry an
   explicit ``engine_fallback_reason`` whenever the object engine ran.
-* **Backend tiers** — above the interpreted replay sit the pure-NumPy
-  segmented tier and the Numba JIT tier.  Tier selection must follow
-  the documented cascade with a recorded ``backend_fallback_reason``
-  for every skipped tier, and each tier's replay (the JIT one runs its
-  pure-Python twin when Numba is absent — bit-identical float ops)
-  must match the object engine exactly.  The sync golden file
-  (``data/golden_soa.json``) pins barrier/FIFO-mutex configurations
-  that compile with *zero* fallback under the widened subset.
+  The sync golden file (``data/golden_soa.json``) pins
+  barrier/FIFO-mutex configurations that compile with *zero* fallback
+  under the widened subset.
 """
 
 import json
@@ -33,18 +28,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden_scenarios import (SCENARIOS, iter_configs, config_key,
-                              make_fault_plan, snapshot)
+from golden_scenarios import (SCENARIOS, config_key, golden_expected,
+                              iter_golden_entries, make_fault_plan,
+                              snapshot)
 from golden_soa_scenarios import (SOA_GOLDEN_PATH, iter_soa_configs,
                                   soa_config_key, soa_kernel,
                                   soa_snapshot)
 from repro.contention import (ChenLinModel, ConstantModel, MD1Model,
                               MM1Model, NullModel, available_models)
 from repro.core import (HybridKernel, LogicalThread, Processor,
-                        SharedResource, compile_kernel, jit_replay_reason,
-                        numba_available, numpy_available,
-                        numpy_replay_reason, run_program,
-                        run_program_jit, run_program_numpy)
+                        SharedResource, compile_kernel, numpy_available)
 from repro.core.errors import (ConfigurationError,
                                UnsupportedFeatureError)
 from repro.core.events import (acquire, barrier_wait, consume, release,
@@ -52,7 +45,6 @@ from repro.core.events import (acquire, barrier_wait, consume, release,
 from repro.core.scheduler import PinnedScheduler, PriorityScheduler
 from repro.core.soa import SoAKernelEngine
 from repro.core.sync import Barrier, Mutex, Semaphore
-from repro.perf.memo import SliceMemoCache
 from repro.robustness.budget import RunBudget
 from repro.scenario.spec import ModelSpec, ScenarioSpec
 
@@ -213,16 +205,10 @@ def _mutexed(**kw):
 
 
 def _compute_pinned(**kw):
-    """Pure-compute, all threads pinned: the NumPy tier's subset."""
+    """Pure-compute, all threads pinned to their own processor."""
     procs = [Processor(f"p{i}", 1.0) for i in range(3)]
     return _threads(HybridKernel(procs, [], **kw), 3, [],
                     affinity=lambda idx: f"p{idx}")
-
-
-def _compute_unpinned(**kw):
-    """Pure-compute but scheduler-placed: outside the NumPy tier."""
-    procs = [Processor("p0", 1.0), Processor("p1", 1.0)]
-    return _threads(HybridKernel(procs, [], **kw), 3, [])
 
 
 EQUIVALENCE_KERNELS = {
@@ -264,138 +250,6 @@ def test_program_replay_is_bit_identical():
 def test_engine_name_is_validated():
     with pytest.raises(ConfigurationError):
         HybridKernel([Processor("p0", 1.0)], engine="vectorized")
-
-
-def test_backend_name_is_validated():
-    with pytest.raises(ConfigurationError):
-        HybridKernel([Processor("p0", 1.0)], backend="fortran")
-
-
-# ---------------------------------------------------------------------
-# backend tiers: JIT / NumPy replays + the selection cascade
-# ---------------------------------------------------------------------
-
-#: Which equivalence kernels the JIT tier accepts (ignoring Numba
-#: availability).  Pinned expectations, not skips-on-demand: a kernel
-#: silently leaving the compiled subset would otherwise hollow the
-#: suite out.
-JIT_ELIGIBLE = {
-    "fused": True,          # exact const/null models
-    "flat_merged": True,    # window merging is lowered
-    "pinned": True,
-    "barrier": True,        # widened sync subset
-    "mutex": True,
-    "compute_pinned": True,
-    "generic": False,       # dict-dispatch queueing models
-    "bursty": False,        # burst annotations
-    "hetero": False,        # ChenLin model (not the bursts per se)
-}
-
-
-@needs_numpy
-@pytest.mark.parametrize("name", sorted(EQUIVALENCE_KERNELS))
-def test_jit_replay_bit_identical(name):
-    """The JIT replay (or its pure-Python twin) matches the object run.
-
-    Without Numba the undecorated ``_replay`` body executes under
-    CPython on the same ``float64`` arrays — bit-identical IEEE-754
-    arithmetic — which is exactly how Numba-less hosts certify the
-    backend.
-    """
-    factory = EQUIVALENCE_KERNELS[name]
-    program = compile_kernel(factory())
-    kernel = factory()
-    reason = jit_replay_reason(kernel, program, require_numba=False)
-    assert (reason is None) == JIT_ELIGIBLE[name], reason
-    if reason is not None:
-        return
-    replayed = run_program_jit(kernel, program)
-    assert result_snapshot(replayed) == result_snapshot(factory().run())
-    again = run_program_jit(factory(), program)
-    assert result_snapshot(again) == result_snapshot(replayed)
-
-
-@needs_numpy
-def test_numpy_tier_bit_identical():
-    """The segmented tier matches both the interpreter and the object
-    engine on its pure-compute pinned subset."""
-    program = compile_kernel(_compute_pinned())
-    assert numpy_replay_reason(_compute_pinned(), program) is None
-    reference = result_snapshot(_compute_pinned().run())
-    assert result_snapshot(
-        run_program_numpy(_compute_pinned(), program)) == reference
-    assert result_snapshot(
-        run_program(_compute_pinned(), program)) == reference
-
-
-@needs_numpy
-def test_numpy_tier_rejects_unpinned_threads():
-    program = compile_kernel(_compute_unpinned())
-    reason = numpy_replay_reason(_compute_unpinned(), program)
-    assert reason is not None
-
-
-#: feature -> (factory, jit-subset member?, numpy-subset member?) —
-#: one row per compiled-subset boundary the cascade can cross.
-BACKEND_MATRIX = {
-    "compute_pinned": (_compute_pinned, True, True),
-    "compute_unpinned": (_compute_unpinned, True, False),
-    "contention_flat": (_fused, True, False),
-    "window_merging": (_flat_merged, True, False),
-    "sync_barrier": (_barrier, True, False),
-    "sync_mutex": (_mutexed, True, False),
-    "generic_models": (_generic, False, False),
-    "bursts": (_bursty, False, False),
-}
-
-
-@needs_numpy
-@pytest.mark.parametrize("backend", sorted(HybridKernel.BACKENDS))
-@pytest.mark.parametrize("feature", sorted(BACKEND_MATRIX))
-def test_backend_cascade_matrix(feature, backend):
-    """Every (feature x backend) cell: tier choice, reason, identity.
-
-    The expected tier is derived from the pinned subset membership
-    flags: ``auto``/``jit`` prefer the JIT tier (only reachable when
-    Numba is importable), then the NumPy tier, then the interpreter;
-    ``numpy`` starts at the NumPy tier; ``interp`` never cascades.
-    Whatever tier runs, the result must equal the object engine's, and
-    every *skipped* preferred tier must leave a prefixed reason.
-    """
-    factory, jit_ok, numpy_ok = BACKEND_MATRIX[feature]
-    result = factory(engine="soa", backend=backend).run()
-    assert result.engine_used == "soa"
-
-    if backend in ("auto", "jit") and jit_ok and numba_available():
-        expected = "jit"
-    elif backend in ("auto", "jit", "numpy") and numpy_ok:
-        expected = "numpy"
-    else:
-        expected = "interp"
-    assert result.backend_used == expected
-
-    reason = result.backend_fallback_reason or ""
-    if backend in ("auto", "jit") and expected != "jit":
-        assert "jit: " in reason
-    if backend in ("auto", "jit", "numpy") and expected == "interp":
-        assert "numpy: " in reason
-    preferred = "jit" if backend == "auto" else backend
-    if expected == preferred:  # no tier was skipped
-        assert result.backend_fallback_reason is None
-    else:  # a skipped tier is never silent
-        assert reason
-
-    assert result_snapshot(result) == result_snapshot(factory().run())
-
-
-@needs_numpy
-def test_object_engine_leaves_backend_unset():
-    result = _fused().run()
-    assert result.backend_used is None
-    assert result.backend_fallback_reason is None
-    routed = _with_semaphore(engine="soa", backend="jit").run()
-    assert routed.engine_used == "object"
-    assert routed.backend_used is None
 
 
 # ---------------------------------------------------------------------
@@ -441,8 +295,6 @@ FALLBACK_CASES = {
                                        **kw),
     "run budgets": lambda **kw: _fused(
         budget=RunBudget(max_virtual_time=1e9), **kw),
-    "slice memoization": lambda **kw: _fused(
-        memo_cache=SliceMemoCache(maxsize=8), **kw),
     "scheduler": lambda **kw: _fused(scheduler=PriorityScheduler(),
                                      **kw),
     "synchronization": _with_semaphore,
@@ -491,10 +343,10 @@ def test_no_numpy_routes_to_object(monkeypatch):
 
 
 # ---------------------------------------------------------------------
-# the 80-configuration golden matrix under engine="soa"
+# the 80-entry golden matrix under engine="soa"
 # ---------------------------------------------------------------------
 
-CONFIGS = list(iter_configs())
+ENTRIES = list(iter_golden_entries())
 
 
 @pytest.fixture(scope="module")
@@ -503,8 +355,9 @@ def golden():
 
 
 @pytest.mark.parametrize(
-    "cfg", CONFIGS, ids=[config_key(*cfg) for cfg in CONFIGS])
-def test_golden_matrix_under_soa(cfg, golden):
+    "cfg,memo", ENTRIES,
+    ids=[config_key(*cfg, memo) for cfg, memo in ENTRIES])
+def test_golden_matrix_under_soa(cfg, memo, golden):
     """Seed snapshots reproduce exactly with zero silent divergence.
 
     Every golden configuration traces, so today each cell routes to
@@ -512,16 +365,15 @@ def test_golden_matrix_under_soa(cfg, golden):
     subset ever widens, cells that genuinely run on the array engine
     must still match the seed snapshot bit-for-bit.
     """
-    scenario, policy, mts, fault, memo = cfg
+    scenario, policy, mts, fault = cfg
     kernel = SCENARIOS[scenario](
         sync_policy=policy,
         min_timeslice=mts,
         fault_plan=make_fault_plan() if fault else None,
-        memo_cache=SliceMemoCache(maxsize=32) if memo else None,
         trace=True,
         engine="soa")
     result = kernel.run()
-    assert snapshot(kernel, result) == golden[config_key(*cfg)]
+    assert snapshot(kernel, result) == golden_expected(golden, cfg, memo)
     if result.engine_used != "soa":
         assert result.engine_fallback_reason  # routed, never silent
 
@@ -547,9 +399,8 @@ def test_golden_soa_zero_fallback(cfg, golden_soa):
 
     These shapes were object-only before the subset widened (any sync
     event routed to the object engine).  Now they must run on the SoA
-    path with ``engine_fallback_reason`` empty, match the object-engine
-    seed snapshot bit-for-bit, and replay identically through the JIT
-    backend (pure-Python twin when Numba is absent).
+    path with ``engine_fallback_reason`` empty and match the
+    object-engine seed snapshot bit-for-bit.
     """
     name, mts = cfg
     expected = golden_soa[soa_config_key(name, mts)]
@@ -559,11 +410,6 @@ def test_golden_soa_zero_fallback(cfg, golden_soa):
     assert result.engine_fallback_reason is None
     assert soa_snapshot(result) == expected
     assert result_snapshot(result) == expected  # serializers agree
-
-    program = compile_kernel(soa_kernel(name, mts))
-    fresh = soa_kernel(name, mts)
-    assert jit_replay_reason(fresh, program, require_numba=False) is None
-    assert soa_snapshot(run_program_jit(fresh, program)) == expected
 
 
 # ---------------------------------------------------------------------
@@ -663,15 +509,12 @@ sync_spec_strategy = st.one_of(
 @needs_numpy
 @settings(max_examples=25, deadline=None)
 @given(spec=sync_spec_strategy)
-def test_random_sync_specs_bit_identical_across_backends(spec):
-    """Random barrier/mutex specs agree across every backend tier.
+def test_random_sync_specs_bit_identical(spec):
+    """Random barrier/mutex specs agree between the two engines.
 
-    Object engine, interpreted SoA replay, the auto cascade, and the
-    JIT replay (pure-Python twin when Numba is absent) must all return
-    hex-identical snapshots; the NumPy segmented tier is consume-only,
-    so for these specs it must *decline* with a reason rather than run.
-    JIT eligibility itself is pinned: exact constant/null models
-    compile, the Chen-Lin dict-dispatch model must not.
+    The object engine and the SoA replay must return hex-identical
+    snapshots, with the SoA run inside the compiled subset (no
+    fallback).
     """
     reference = result_snapshot(spec.build_kernel().run())
 
@@ -679,21 +522,6 @@ def test_random_sync_specs_bit_identical_across_backends(spec):
     assert soa.engine_used == "soa"
     assert soa.engine_fallback_reason is None
     assert result_snapshot(soa) == reference
-
-    interp = spec.build_kernel(engine="soa", backend="interp").run()
-    assert interp.backend_used == "interp"
-    assert result_snapshot(interp) == reference
-
-    kernel = spec.build_kernel()
-    program = compile_kernel(kernel)
-    assert numpy_replay_reason(kernel, program) is not None
-
-    jit_reason = jit_replay_reason(kernel, program, require_numba=False)
-    assert (jit_reason is None) == \
-        (spec.model.name in ("constant", "null")), jit_reason
-    if jit_reason is None:
-        assert result_snapshot(
-            run_program_jit(kernel, program)) == reference
 
 
 # ---------------------------------------------------------------------
@@ -733,7 +561,8 @@ def test_soa_spec_probe_costs_no_extra_builds(monkeypatch):
     assert len(calls) == object_builds
     detail = routed.runs["mesh"].detail
     assert detail.engine_used == "object"
-    assert detail.engine_fallback_reason == "tracing"
+    assert detail.engine_fallback_reason == (
+        "tracing" if numpy_available() else "running without NumPy")
     assert detail.queueing_cycles == \
         baseline.runs["mesh"].detail.queueing_cycles
 

@@ -4,7 +4,7 @@ The facade's contract is that the refactor changed *where* the
 store-probe -> fallback-probe -> run -> store-commit sequence lives,
 not *what* it computes.  The equivalence suite here proves it across
 an 80-configuration grid (5 generators x 2 seeds x 2 contention
-models x 2 min_timeslice x 2 memo settings): every store payload the
+models x 2 min_timeslice x 2 kernel-option sets): every store payload the
 session commits is byte-identical — canonical-JSON-compared, modulo
 ``wall_seconds``, the only environment measurement — to an inlined
 reference evaluation spelling out the pre-refactor ``run_comparison``
@@ -27,6 +27,7 @@ import pytest
 from _helpers import count_factory_calls
 
 from repro.analytical import characterize, estimate_queueing
+from repro.core import numpy_available
 from repro.cycle import EventEngine
 from repro.engine import ESTIMATORS, ExecutionSession
 from repro.experiments.runner import run_comparison
@@ -49,17 +50,17 @@ def iter_golden_configs():
         for seed in (0, 7):
             for model in ("chenlin", "mm1"):
                 for mts in (0.0, 6.0):
-                    for memo in (None, {"maxsize": 16}):
-                        yield generator, seed, model, mts, memo
+                    for options in (None, {"slice_accounting": "rescan"}):
+                        yield generator, seed, model, mts, options
 
 
-def spec_for(generator, seed, model, mts, memo) -> ScenarioSpec:
+def spec_for(generator, seed, model, mts, options) -> ScenarioSpec:
     return ScenarioSpec(
         generator=generator,
         params=dict(GENERATOR_PARAMS[generator], seed=seed),
         model={"name": model},
         min_timeslice=mts,
-        memo=memo,
+        kernel_options=options or {},
     )
 
 
@@ -71,7 +72,6 @@ def reference_payloads(spec: ScenarioSpec) -> dict:
     spec_hash = spec.spec_hash()
     model = spec.build_model()
     budget = spec.build_budget()
-    memo_cache = spec.build_memo()
     workload = spec.build_workload()
     profiles = characterize(workload)
     busy = sum(p.busy_cycles for p in profiles.values())
@@ -88,7 +88,7 @@ def reference_payloads(spec: ScenarioSpec) -> dict:
         }
 
     iss = EventEngine(workload, budget=budget).run()
-    mesh = spec.run(memo_cache=memo_cache)
+    mesh = spec.run()
     analytical = estimate_queueing(workload, model=model,
                                    models=spec.build_models(),
                                    profiles=profiles)
@@ -112,11 +112,11 @@ class TestGoldenEquivalence:
         assert len(list(iter_golden_configs())) == 80
 
     @pytest.mark.parametrize(
-        "generator,seed,model,mts,memo", list(iter_golden_configs()),
+        "generator,seed,model,mts,options", list(iter_golden_configs()),
         ids=lambda value: str(value).replace(" ", ""))
     def test_store_payloads_byte_identical_to_reference(
-            self, tmp_path, generator, seed, model, mts, memo):
-        spec = spec_for(generator, seed, model, mts, memo)
+            self, tmp_path, generator, seed, model, mts, options):
+        spec = spec_for(generator, seed, model, mts, options)
         store = RunStore(tmp_path / "store")
         with ExecutionSession(store=store) as session:
             comparison = session.comparison(spec)
@@ -167,7 +167,8 @@ class TestZeroBuildWarmPath:
         assert all(run.cached for run in comparison.runs.values())
 
     def test_warm_physics_match_cold_physics(self, tmp_path):
-        spec = spec_for("smp", 7, "mm1", 6.0, {"maxsize": 16})
+        spec = spec_for("smp", 7, "mm1", 6.0,
+                        {"slice_accounting": "rescan"})
         store = RunStore(tmp_path / "store")
         with ExecutionSession(store=store) as cold_session:
             cold = cold_session.comparison(spec)
@@ -222,14 +223,46 @@ class TestCounters:
         specs = [spec_for("uniform", seed, "chenlin", 0.0, None)
                  for seed in (0, 7)]
         store = RunStore(tmp_path / "store")
+        # Without NumPy nothing compiles: the prepass skips every cell
+        # and the per-cell pass computes them instead.
+        warmed = 2 if numpy_available() else 0
         with ExecutionSession(store=store, jobs=1,
                               batch_cells=-1) as session:
             session.map_comparisons(specs, include=("mesh",))
-            assert session.prepass_totals["cells_batched"] == 2
+            assert session.prepass_totals["cells_batched"] == warmed
             # The prepass warmed every mesh cell; the per-cell pass
             # replayed them all.
-            assert session.estimator_runs_computed == 0
-            assert session.estimator_runs_cached == 2
+            assert session.estimator_runs_computed == 2 - warmed
+            assert session.estimator_runs_cached == warmed
+
+    @pytest.mark.skipif(not numpy_available(),
+                        reason="the prepass compiles nothing without NumPy")
+    def test_prepass_failure_leaves_only_its_own_cell_cold(
+            self, tmp_path, monkeypatch):
+        import repro.core.programstore as programstore
+
+        specs = [spec_for("uniform", seed, "chenlin", 0.0, None)
+                 for seed in (0, 1, 7)]
+        failing = sorted(spec.spec_hash() for spec in specs)[1]
+        original = programstore.replay_batch
+        calls = []
+
+        def replay_batch(cells):
+            calls.append(len(cells))
+            if len(calls) == 2:  # the middle cell in spec_hash order
+                raise RuntimeError("replay failed")
+            return original(cells)
+
+        monkeypatch.setattr(programstore, "replay_batch", replay_batch)
+        store = RunStore(tmp_path / "store")
+        with ExecutionSession(store=store) as session:
+            counters = session.prepass(specs)
+        assert calls == [1, 1, 1]
+        assert counters["cells_cold"] == 3
+        assert counters["cells_batched"] == 2
+        for spec in specs:
+            warm = store.get(spec.spec_hash(), "mesh") is not None
+            assert warm == (spec.spec_hash() != failing)
 
     def test_multiprocess_map_absorbs_worker_counts(self, tmp_path):
         specs = [spec_for("uniform", seed, "chenlin", 0.0, None)

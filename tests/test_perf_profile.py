@@ -280,7 +280,7 @@ class TestCommittedBaseline:
         assert checks and not any(c.failed for c in checks)
         for check in checks:
             if check.baseline is None and check.current is None:
-                # Declared but unmeasurable on the recording host —
-                # e.g. the JIT ratio without Numba: skipped, not failed.
+                # Declared but unmeasurable on the recording host
+                # (e.g. a NumPy-only ratio): skipped, not failed.
                 continue
             assert check.regression == pytest.approx(0.0)

@@ -2,12 +2,12 @@
 
 ``test_core_kernel_equivalence`` pins the kernel's behavior against the
 committed hex-float snapshots via direct Python construction.  This
-suite runs the *same 80 configurations* through the declarative layer —
+suite runs the *same configurations* through the declarative layer —
 each cell becomes a :class:`ScenarioSpec`, is round-tripped through its
 canonical JSON (the form the run store hashes), rebuilt, and executed —
-and must reproduce the committed snapshots bit-for-bit.  This is the
-proof that spec serialization loses nothing: not the fault plan's seed,
-not the memo cache size, not a single trace float.
+and must reproduce all 80 committed snapshot entries bit-for-bit.  This
+is the proof that spec serialization loses nothing: not the fault
+plan's seed, not a single trace float.
 """
 
 import json
@@ -15,13 +15,15 @@ import pathlib
 
 import pytest
 
-from golden_scenarios import (config_key, iter_configs,
-                              run_config_from_spec, spec_for)
+from golden_scenarios import (config_key, golden_expected, iter_configs,
+                              iter_golden_entries, run_config_from_spec,
+                              spec_for)
 
 GOLDEN_PATH = (pathlib.Path(__file__).parent / "data" /
                "golden_kernel.json")
 
 CONFIGS = list(iter_configs())
+ENTRIES = list(iter_golden_entries())
 
 
 @pytest.fixture(scope="module")
@@ -30,10 +32,11 @@ def golden():
         return json.load(handle)
 
 
-@pytest.mark.parametrize("config", CONFIGS,
-                         ids=[config_key(*c) for c in CONFIGS])
-def test_spec_driven_run_matches_golden_snapshot(config, golden):
-    assert run_config_from_spec(*config) == golden[config_key(*config)]
+@pytest.mark.parametrize("config,memo", ENTRIES,
+                         ids=[config_key(*c, memo) for c, memo in ENTRIES])
+def test_spec_driven_run_matches_golden_snapshot(config, memo, golden):
+    assert run_config_from_spec(*config) == \
+        golden_expected(golden, config, memo)
 
 
 def test_spec_hashes_distinguish_all_configs():

@@ -10,7 +10,7 @@ from repro.contention import make_model
 from repro.core.errors import ConfigurationError
 from repro.robustness import GuardedModel
 from repro.scenario import generators
-from repro.scenario import (MemoSpec, ModelSpec, ScenarioSpec,
+from repro.scenario import (ModelSpec, ScenarioSpec,
                             as_model_spec, available_generators,
                             generator_kind, load_spec, make_workload,
                             register_generator, save_spec)
@@ -63,22 +63,6 @@ class TestModelSpec:
         assert as_model_spec(make_model("mm1")).name == "mm1"
 
 
-class TestMemoSpec:
-    def test_defaults_round_trip_empty(self):
-        spec = MemoSpec()
-        assert spec.to_dict() == {}
-        assert MemoSpec.from_dict({}) == spec
-
-    def test_build(self):
-        cache = MemoSpec(maxsize=32, digits=6).build()
-        assert cache.maxsize == 32
-        assert cache.digits == 6
-
-    def test_unknown_key_raises(self):
-        with pytest.raises(ConfigurationError):
-            MemoSpec.from_dict({"size": 10})
-
-
 class TestScenarioSpecRoundTrip:
     def spec(self):
         return ScenarioSpec(
@@ -89,7 +73,6 @@ class TestScenarioSpecRoundTrip:
             min_timeslice=4.0,
             sync_policy="deferred",
             scheduler="roundrobin",
-            memo=MemoSpec(maxsize=16),
         )
 
     def test_to_from_dict_identity(self):

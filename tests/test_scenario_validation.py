@@ -5,16 +5,17 @@ JSON-pointer-style ``path`` into the offending document so the
 service's 400 responses (and any other front end) can point at the
 precise field instead of echoing a bare message.  This suite pins the
 paths for every malformed-document family the issue names — generator,
-params, model, models, fault plan, budget, memo — plus the structural
-families (unknown keys, non-JSON values, bad knob types) and the
-``.at()`` re-rooting mechanics the nesting relies on.
+params, model, models, fault plan, budget, kernel options — plus the
+structural families (unknown keys, non-JSON values, bad knob types) and
+the ``.at()`` re-rooting mechanics the nesting relies on.
 """
 
 import pytest
 
+from repro.core import numpy_available
 from repro.core.errors import ConfigurationError, SpecValidationError
 from repro.scenario import ScenarioSpec
-from repro.scenario.spec import MemoSpec, ModelSpec
+from repro.scenario.spec import ModelSpec
 
 BASE = {"generator": "uniform",
         "params": {"threads": 2, "phases": 2, "accesses": 10}}
@@ -142,13 +143,10 @@ class TestBudget:
 
 
 class TestMemoAndKnobs:
-    def test_memo_bad_maxsize(self):
-        error = located(dict(BASE, memo={"maxsize": "big"}))
-        assert error.path.startswith("/memo")
-
     def test_memo_unknown_key(self):
-        error = located(dict(BASE, memo={"flavor": "lru"}))
-        assert error.path == "/memo/flavor"
+        """The slice-memo configuration is gone: ``memo`` is unknown."""
+        error = located(dict(BASE, memo={"maxsize": 32}))
+        assert error.path == "/memo"
 
     def test_min_timeslice_must_be_a_number(self):
         error = located(dict(BASE, min_timeslice="fast"))
@@ -177,10 +175,31 @@ class TestModelSpecDirect:
             ModelSpec.from_dict({"name": ""})
         assert caught.value.path == "/name"
 
-    def test_memo_spec_from_dict(self):
-        with pytest.raises(SpecValidationError) as caught:
-            MemoSpec.from_dict({"digits": 1.5})
-        assert caught.value.path == "/digits"
+
+class TestKernelOptions:
+    """``kernel_options`` keys must be HybridKernel keyword parameters.
+
+    An unchecked bad key would fail only later, inside the kernel
+    constructor, with a bare ``TypeError``.  Keys the spec holds as its
+    own fields (``scheduler``, ...) would reach the kernel as raw JSON
+    instead of built objects, so they are rejected too.
+    """
+
+    @pytest.mark.parametrize("key", ["bogus", "backend", "memo_cache",
+                                     "processors", "scheduler",
+                                     "fault_plan"])
+    def test_unknown_option_is_located(self, key):
+        error = located(dict(BASE, kernel_options={key: 1}))
+        assert error.path == f"/kernel_options/{key}"
+        assert key in str(error)
+
+    def test_known_options_pass(self):
+        spec = ScenarioSpec.from_dict(dict(
+            BASE, kernel_options={"engine": "soa",
+                                  "slice_accounting": "rescan",
+                                  "batch_analysis": False})).validate()
+        expected = "soa" if numpy_available() else "object"
+        assert spec.run().engine_used == expected
 
 
 class TestValidateReturnsSelf:
