@@ -105,8 +105,7 @@ def calibrate_model(model: ContentionModel,
                     seed: int = 3,
                     jobs: int = 1,
                     store=None,
-                    batch_cells: int = 0,
-                    program_store=None) -> List[CalibrationPoint]:
+                    batch_cells: int = 0) -> List[CalibrationPoint]:
     """Sweep utilization and compare ``model`` to the cycle engine.
 
     Each sweep point builds a symmetric workload of ``threads`` uniform
@@ -124,12 +123,11 @@ def calibrate_model(model: ContentionModel,
     With a ``store`` (a :class:`~repro.scenario.store.RunStore` or root
     path) and non-zero ``batch_cells``, the matching
     :func:`calibration_specs` grid is warmed through the mesh prepass
-    first — cold cells compile-or-load from the content-addressed
-    ``program_store`` and replay into the run store — so a subsequent
-    ``repro sweep --grid calibration`` (or any spec-driven evaluation
-    of the same grid) starts warm.  Purely an
-    execution choice: the calibration points themselves are measured by
-    the cycle engine either way and are unaffected.
+    first — cold cells compile and replay into the run store — so a
+    subsequent ``repro sweep --grid calibration`` (or any spec-driven
+    evaluation of the same grid) starts warm.  Purely an execution
+    choice: the calibration points themselves are measured by the
+    cycle engine either way and are unaffected.
     """
     if threads < 2:
         raise ValueError("calibration needs >= 2 contending threads")
@@ -143,7 +141,7 @@ def calibrate_model(model: ContentionModel,
                               phase_work=phase_work,
                               access_sweep=access_sweep, phases=phases,
                               seed=seed),
-            store, program_store=program_store)
+            store)
 
     sweep = list(access_sweep)
     with ParallelExecutor(jobs) as executor:

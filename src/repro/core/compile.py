@@ -19,9 +19,9 @@ everything the engine needs into plain arrays:
   :class:`~repro.contention.constant.NullModel`.
 
 Everything outside the compiled subset raises
-:class:`~repro.core.errors.UnsupportedFeatureError`; the kernel catches
-it and routes the run to the object engine with the feature recorded as
-the fallback reason (never silent divergence).  The subset is exactly
+:class:`~repro.core.errors.UnsupportedFeatureError` naming the feature;
+:meth:`~repro.engine.session.ExecutionSession.prepass` then leaves the
+cell cold for the per-cell object-engine run.  The subset is exactly
 the configurations whose object-engine semantics the array program can
 reproduce bit for bit: FIFO-family scheduling, ``consume`` bodies plus
 barrier-only synchronization and non-nested FIFO mutexes under the
@@ -37,7 +37,7 @@ equal the number of threads referencing it and each of those threads
 must arrive the same number of times; mutex acquisitions must be
 non-nested and balanced, never interleaved with a barrier wait, and
 every primitive must start clean (no owner, no waiters, no pre-arrived
-parties).  Anything violating those rules routes to the object engine,
+parties).  Anything violating those rules is left to the object engine,
 which raises the canonical :class:`SynchronizationError` /
 :class:`DeadlockError` diagnostics.
 """
@@ -65,16 +65,6 @@ def numpy_available() -> bool:
 #: (the FIFO family: single ready-order scan honoring affinity).
 _SOA_SCHEDULERS = (None, "fifo", "pinned")
 
-#: Version of the compiled subset / :class:`SoAProgram` layout.  Bumped
-#: whenever the lowering or the program's array semantics change, it is
-#: folded into :func:`repro.core.programstore.program_hash` so cached
-#: serialized programs from an older lowering can never be replayed by
-#: a newer runtime.  (v1: consume-only subset; v2: widened sync subset
-#: + op streams; v3: hoisted NumPy segment boundaries + serializable
-#: program layout; v4: interpreter-only replay, segment and JIT caches
-#: dropped from the program.)
-COMPILE_SUBSET_VERSION = 4
-
 #: Op-stream opcodes.  ``OP_REGION``'s arg is the thread-local region
 #: index; the sync opcodes carry a program-wide barrier/mutex index.
 OP_REGION = 0
@@ -84,15 +74,14 @@ OP_RELEASE = 3
 
 
 def soa_spec_fallback_reason(spec) -> Optional[str]:
-    """Spec-level SoA routing probe — never materializes the workload.
+    """Spec-level compile probe — never materializes the workload.
 
-    Returns the feature string that will route a
-    :class:`~repro.scenario.spec.ScenarioSpec` to the object engine, or
-    ``None`` when the spec *may* lower (the definitive probe runs on
-    the assembled kernel, where thread bodies can be enumerated).  This
-    is the check :func:`~repro.experiments.runner.run_comparison` and
-    the sweep fabric consult before building anything, so a store-warm
-    comparison with ``engine="soa"`` still does zero workload builds.
+    Returns the feature string that keeps a
+    :class:`~repro.scenario.spec.ScenarioSpec` out of the compiled
+    subset, or ``None`` when the spec *may* lower (the definitive probe
+    is :func:`compile_kernel` on the assembled kernel, where thread
+    bodies can be enumerated).  The prepass consults it before building
+    anything, so a cell it cannot compile costs no workload build.
     """
     if _np is None:
         return "running without NumPy"
@@ -112,20 +101,20 @@ class SoAProgram:
 
     Thread-major region streams plus resource metadata; every value is
     a plain Python scalar, list, tuple, or dict so the runtime loop in
-    :class:`~repro.core.soa.SoAKernelEngine` runs allocation-free over
+    :func:`~repro.core.soa.run_program` runs allocation-free over
     native types (NumPy is a compile-time tool here, not a runtime
     container — at in-flight set sizes of one region per processor,
     array dispatch costs more than it saves).
     """
 
     __slots__ = (
-        "thread_names", "thread_priorities", "thread_affinity",
-        "thread_release", "region_counts", "region_durations",
+        "thread_names", "thread_affinity",
+        "region_counts", "region_durations",
         "region_complexity", "region_extra", "region_accesses",
         "region_bursts", "resource_names", "resource_service",
         "resource_ports", "resource_models", "resource_uses_priorities",
         "resource_fast", "min_timeslice", "processor_powers",
-        "processor_names", "registered_regions", "has_bursts",
+        "registered_regions", "has_bursts",
         "thread_ops", "barriers", "barrier_parties", "mutexes",
         "has_sync",
     )
@@ -133,10 +122,8 @@ class SoAProgram:
     def __init__(self) -> None:
         # -- threads (index-aligned with kernel.threads) ----------------
         self.thread_names: List[str] = []
-        self.thread_priorities: List[int] = []
         #: Processor index the thread is pinned to, or ``None``.
         self.thread_affinity: List[Optional[int]] = []
-        self.thread_release: List[float] = []
         self.region_counts: List[int] = []
         # -- per-thread region streams ----------------------------------
         #: Pre-resolved region durations (``None`` for unpinned threads
@@ -160,10 +147,6 @@ class SoAProgram:
         self.resource_fast: List[Optional[Tuple[str, Optional[float]]]] = []
         self.min_timeslice: float = 0.0
         self.processor_powers: List[float] = []
-        #: Processor names, index-aligned with :attr:`processor_powers`
-        #: — lets :mod:`repro.core.programstore` rebuild a replayable
-        #: kernel from the serialized program without the workload.
-        self.processor_names: List[str] = []
         #: Regions with accesses (the incremental-accounting
         #: ``regions_registered`` counter, known statically).
         self.registered_regions: int = 0
@@ -215,8 +198,6 @@ def compile_kernel(kernel) -> SoAProgram:
     program.min_timeslice = kernel.us.min_timeslice
     powers = [processor.power for processor in kernel.processors]
     program.processor_powers = powers
-    program.processor_names = [processor.name
-                               for processor in kernel.processors]
     homogeneous = len(set(powers)) == 1
     processor_index = {processor.name: index
                        for index, processor in enumerate(kernel.processors)}
@@ -254,11 +235,9 @@ def compile_kernel(kernel) -> SoAProgram:
     for thread in kernel.threads:
         events = _probe_body(thread)
         program.thread_names.append(thread.name)
-        program.thread_priorities.append(thread.priority)
         affinity = (processor_index[thread.affinity]
                     if thread.affinity is not None else None)
         program.thread_affinity.append(affinity)
-        program.thread_release.append(thread.release_time)
         complexity = []
         extra = []
         accesses = []
@@ -411,7 +390,7 @@ def _probe_body(thread) -> List[object]:
 
     Admits plain consumes plus the widened sync subset (barrier waits
     and mutex acquire/release); everything else — semaphores, condition
-    variables, spawns — routes to the object engine.
+    variables, spawns — raises :class:`UnsupportedFeatureError`.
     """
     body = thread._body()
     if not hasattr(body, "__next__"):

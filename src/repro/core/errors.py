@@ -112,10 +112,9 @@ class UnsupportedFeatureError(SimulationError):
     (:mod:`repro.core.compile`) when a scenario uses a feature the SoA
     engine does not lower — tracing, fault plans, budgets, unsupported
     synchronization events, non-FIFO scheduling, or a missing NumPy.
-    :class:`~repro.core.kernel.HybridKernel` catches it and falls back
-    to the object engine, recording :attr:`feature` as the routing
-    reason on the result (GuardedModel-style graceful degradation —
-    never silent divergence).
+    :meth:`~repro.engine.session.ExecutionSession.prepass` catches it
+    and leaves the cell for the per-cell object-engine run;
+    :attr:`feature` names what kept the kernel out of the subset.
     """
 
     def __init__(self, feature: str):

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .errors import (BudgetExceededError, ConfigurationError, DeadlockError,
-                     ProtocolError, SimulationError, UnsupportedFeatureError)
+                     ProtocolError, SimulationError)
 from .events import (Acquire, BarrierWait, CondNotify, CondWait, Consume,
                      Release, SemAcquire, SemRelease, Spawn)
 from .pqueue import RegionQueue
@@ -93,23 +93,10 @@ class HybridKernel:
         call (default; bit-identical to the per-resource loop — see
         :mod:`repro.contention.batch`).  ``False`` forces the legacy
         one-call-per-resource path.
-    engine:
-        Which execution engine :meth:`run` uses.  ``"object"``
-        (default) is the reference loop below; ``"soa"`` compiles the
-        scenario to a flat structure-of-arrays program
-        (:mod:`repro.core.compile`) and runs it on the array engine
-        (:mod:`repro.core.soa`) — bit-identical results, an order of
-        magnitude faster on the commit hot path.  Configurations the
-        compiler does not lower (tracing, fault plans, budgets,
-        unsupported sync events, non-FIFO scheduling, missing NumPy)
-        route back to the object engine automatically;
-        :attr:`engine_used` and :attr:`engine_fallback_reason` record
-        the routing on the kernel and on the result — never silent.
     """
 
     SYNC_POLICIES = ("eager", "deferred")
     SLICE_ACCOUNTING = ("incremental", "rescan")
-    ENGINES = ("object", "soa")
 
     def __init__(self, processors: Sequence[Processor],
                  shared_resources: Iterable[SharedResource] = (),
@@ -120,16 +107,11 @@ class HybridKernel:
                  fault_plan=None,
                  budget=None,
                  slice_accounting: str = "incremental",
-                 batch_analysis: bool = True,
-                 engine: str = "object"):
+                 batch_analysis: bool = True):
         if sync_policy not in self.SYNC_POLICIES:
             raise ConfigurationError(
                 f"unknown sync_policy {sync_policy!r}; choose from "
                 f"{self.SYNC_POLICIES}"
-            )
-        if engine not in self.ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; choose from {self.ENGINES}"
             )
         if slice_accounting not in self.SLICE_ACCOUNTING:
             raise ConfigurationError(
@@ -139,13 +121,11 @@ class HybridKernel:
         self.slice_accounting = slice_accounting
         self._incremental = slice_accounting == "incremental"
         self.sync_policy = sync_policy
-        self.engine = engine
-        #: Engine that actually executed the run; stays ``"object"``
-        #: until an SoA compile succeeds.
+        #: Engine that executed the run: ``"object"`` for :meth:`run`
+        #: and :meth:`steps`; :func:`~repro.core.programstore.
+        #: replay_program` sets ``"soa"`` when it replays a compiled
+        #: program on this kernel instead.
         self.engine_used = "object"
-        #: Why an ``engine="soa"`` request routed to the object engine
-        #: (``None`` when no fallback happened).
-        self.engine_fallback_reason: Optional[str] = None
         self.processors: List[Processor] = list(processors)
         if not self.processors:
             raise ConfigurationError("at least one processor is required")
@@ -227,34 +207,10 @@ class HybridKernel:
         Semantically equivalent to draining :meth:`steps`, but runs the
         commit loop directly — no generator suspension per region — so
         batch experiments (sweeps, benchmarks) pay no observer overhead.
-
-        With ``engine="soa"`` the scenario is first lowered by
-        :func:`~repro.core.compile.compile_kernel`; on success the
-        array engine executes it (bit-identical result), on
-        :class:`UnsupportedFeatureError` the object loop below runs
-        instead with the reason recorded in
-        :attr:`engine_fallback_reason` — the compile probe reads thread
-        bodies through fresh generators, so the fallback re-runs
-        nothing and builds nothing twice.
         """
         if self._ran:
             raise SimulationError("kernel instances are single-shot; "
                                   "build a new kernel to run again")
-        if self.engine == "soa":
-            if until is not None:
-                self.engine_fallback_reason = "time-bounded runs (until=)"
-            else:
-                from .compile import compile_kernel
-                from .soa import run_program
-
-                try:
-                    program = compile_kernel(self)
-                except UnsupportedFeatureError as exc:
-                    self.engine_fallback_reason = exc.feature
-                else:
-                    self._ran = True
-                    self.engine_used = "soa"
-                    return run_program(self, program)
         self._ran = True
         meter = self.budget.start() if self.budget is not None else None
         queue = self._queue
@@ -310,10 +266,6 @@ class HybridKernel:
             raise SimulationError("kernel instances are single-shot; "
                                   "build a new kernel to run again")
         self._ran = True
-        if self.engine == "soa":
-            # Stepwise observation needs live region objects; route to
-            # the object loop with the reason recorded.
-            self.engine_fallback_reason = "stepwise observation (steps())"
         meter = self.budget.start() if self.budget is not None else None
         while True:
             if meter is not None:

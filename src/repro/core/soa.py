@@ -8,7 +8,9 @@ objects.  Per committed region the object engine resumes a generator,
 validates and copies a ``Consume`` event, allocates a region, and walks
 a web of attribute loads; here every region is a pre-lowered row of
 scalars indexed by its processor slot, so the loop touches only local
-lists, tuples, and dicts.
+lists, tuples, and dicts.  The kernel itself only runs its object loop;
+the mesh prepass reaches this engine through
+:func:`~repro.core.programstore.replay_program`.
 
 Bit-identity with the object engine is a construction invariant, not an
 aspiration; the correspondence rests on three structural facts:
@@ -64,26 +66,6 @@ _EMPTY_PRIORITIES: Dict[str, int] = {}
 _EMPTY_PENALTIES: Dict[str, float] = {}
 
 _GENERIC, _NULL, _CONST = 0, 1, 2
-
-
-class SoAKernelEngine:
-    """Thin façade pairing a kernel with its compiled array program.
-
-    :class:`~repro.core.kernel.HybridKernel` constructs one after a
-    successful compile; :meth:`run` executes the program and returns
-    the same :class:`~repro.core.stats.SimulationResult` the object
-    engine would have produced, bit for bit.
-    """
-
-    __slots__ = ("kernel", "program")
-
-    def __init__(self, kernel, program):
-        self.kernel = kernel
-        self.program = program
-
-    def run(self) -> SimulationResult:
-        """Execute the program; see :func:`run_program`."""
-        return run_program(self.kernel, self.program)
 
 
 def run_program(kernel, program) -> SimulationResult:

@@ -10,7 +10,7 @@ output, alongside the usual makespan and utilization numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 
 @dataclass(frozen=True)
@@ -101,14 +101,11 @@ class SimulationResult:
     #: Excluded from equality so guarded-but-clean runs compare equal
     #: to unguarded ones.
     health: object = field(default=None, compare=False)
-    #: Execution engine that produced the run (``"object"`` or
-    #: ``"soa"``).  Excluded from equality — the engines are
-    #: bit-identical, so runs compare on physics alone.
+    #: Execution engine that produced the run: ``"object"`` for the
+    #: kernel loop, ``"soa"`` for a compiled-program replay.  Excluded
+    #: from equality — the two are bit-identical, so runs compare on
+    #: physics alone.
     engine_used: str = field(default="object", compare=False)
-    #: Why an ``engine="soa"`` request was routed to the object engine
-    #: (``None`` when no fallback happened).  Excluded from equality.
-    engine_fallback_reason: Optional[str] = field(default=None,
-                                                  compare=False)
 
     @property
     def faults_injected(self) -> float:
@@ -225,8 +222,6 @@ def build_result(kernel) -> SimulationResult:
         regions_committed=kernel.regions_committed,
         health=_gather_health(kernel),
         engine_used=getattr(kernel, "engine_used", "object"),
-        engine_fallback_reason=getattr(kernel, "engine_fallback_reason",
-                                       None),
     )
 
 

@@ -1,39 +1,38 @@
 """One execution path for every front end: the ExecutionSession facade.
 
-Before this module existed, the store-probe -> spec-level fallback
-probe -> compile-or-load -> replay -> store-commit sequence was
-reimplemented three times: in ``run_comparison`` (per cell), in the
-batched mesh prepass (per grid), and in the sweep supervisor (per
-shard).  Three copies of the same contract is two too many for a
-serving stack, so :class:`ExecutionSession` now owns the sequence and
-everything it needs:
+:class:`ExecutionSession` owns the store-probe -> run -> store-commit
+sequence that ``run_comparison`` (per cell), the sweep supervisor (per
+shard) and the service (per request) all need, and everything it uses:
 
-* the content-addressed :class:`~repro.scenario.store.RunStore` and its
-  companion :class:`~repro.core.programstore.ProgramStore` (derived
-  lazily from the run store's root and code-version namespace);
+* the content-addressed :class:`~repro.scenario.store.RunStore`;
 * one persistent warm :class:`~repro.perf.parallel.ParallelExecutor`
   pool, reused across :meth:`map_comparisons` calls instead of being
   respawned per batch;
-* the execution-only engine/``iss_engine`` selection defaults (never
-  part of any spec hash);
+* the execution-only ``iss_engine`` default (never part of any spec
+  hash);
 * thread-safe counters (comparisons evaluated, estimator runs computed
   vs replayed, workload builds, prepass totals) that a long-running
   service exposes on its ``/v1/stats`` endpoint.
 
-The contracts the three original call sites enforced are preserved
-verbatim — the method bodies *are* the original code, moved:
+The hybrid kernel always runs on its object engine in
+:meth:`comparison`.  Compiled structure-of-arrays replay lives only in
+:meth:`prepass`: it compiles each cold cell of a spec grid
+(:func:`~repro.core.compile.compile_kernel`), replays it
+(:func:`~repro.core.programstore.replay_batch`) and commits the
+``mesh`` payload, so the per-cell pass then finds that cell warm.  A
+cell outside the compiled subset stays cold for the per-cell path.
 
-* store payloads are byte-identical to what ``run_comparison`` always
-  wrote (``wall_seconds`` is an environment measurement, everything
-  else is physics);
+Contracts:
+
+* store payloads are byte-identical whichever path computed them
+  (``wall_seconds`` is an environment measurement, everything else is
+  physics);
 * a comparison whose every requested estimator hits the store performs
-  **zero workload builds** — the spec-level SoA probe included;
-* engine routing records a fallback reason on every divergence
-  (zero silent divergence), exactly as the kernel itself does.
+  **zero workload builds**.
 
 :func:`repro.experiments.runner.run_comparison`,
 :func:`~repro.experiments.runner.run_comparisons_parallel`, and
-:func:`~repro.experiments.runner.batched_mesh_prepass` are now thin
+:func:`~repro.experiments.runner.batched_mesh_prepass` are thin
 wrappers over an (ephemeral) session, the sweep supervisor holds one
 for probe/prepass/dispatch, and the service holds one for its whole
 lifetime.
@@ -41,7 +40,6 @@ lifetime.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import threading
 import time
@@ -167,16 +165,11 @@ class ExecutionSession:
         Optional :class:`~repro.scenario.store.RunStore` (or its root
         path).  The session probes it before running anything and
         commits every computed estimator payload back.
-    program_store:
-        Optional :class:`~repro.core.programstore.ProgramStore` (or
-        root path) for compiled SoA programs; defaults to
-        ``<store root>/programs`` in the run store's code-version
-        namespace, created lazily on the first prepass.
-    engine / iss_engine:
-        Session-wide execution defaults (``engine="soa"``,
-        ``iss_engine="event"`` ...), overridable per call.  Pure
-        execution knobs: never part of any spec hash, and every engine
-        is bit-identical.
+    iss_engine:
+        Session-wide cycle-engine default (``"event"`` or
+        ``"stepped"``), overridable per call.  A pure execution knob:
+        never part of any spec hash, and both engines are
+        bit-identical.
     jobs:
         Worker count of the session's persistent warm pool
         (``0`` = one per CPU, ``1`` = serial in-process).  The pool is
@@ -188,16 +181,13 @@ class ExecutionSession:
         (``None`` on the call means "use this default").
     """
 
-    def __init__(self, store=None, program_store=None,
-                 engine: Optional[str] = None,
+    def __init__(self, store=None,
                  iss_engine: str = "event",
                  jobs: int = 1,
                  batch_cells: int = 0):
         from ..scenario.store import as_store
 
         self.store = as_store(store)
-        self._program_store = program_store
-        self.engine = engine
         self.iss_engine = iss_engine
         self.jobs = jobs
         self.batch_cells = batch_cells
@@ -214,8 +204,7 @@ class ExecutionSession:
         #: Accumulated counters over every :meth:`prepass` call.
         self.prepass_totals: Dict[str, float] = {
             "cells_total": 0, "cells_cold": 0, "cells_batched": 0,
-            "cells_skipped": 0, "compiles": 0, "program_loads": 0,
-            "wall_seconds": 0.0}
+            "cells_skipped": 0, "compiles": 0, "wall_seconds": 0.0}
 
     # -- lifecycle ----------------------------------------------------
 
@@ -226,28 +215,6 @@ class ExecutionSession:
             if self._executor is None:
                 self._executor = ParallelExecutor(self.jobs)
             return self._executor
-
-    @property
-    def program_store(self):
-        """The compiled-program store (derived lazily; may be ``None``).
-
-        ``None`` until a run store exists to anchor the default root —
-        program caching without a run store to warm has no consumer.
-        """
-        from ..core.programstore import ProgramStore
-
-        if isinstance(self._program_store, ProgramStore):
-            return self._program_store
-        if self._program_store is not None:
-            self._program_store = ProgramStore(
-                self._program_store,
-                version=(self.store.version if self.store is not None
-                         else None))
-            return self._program_store
-        if self.store is None:
-            return None
-        self._program_store = ProgramStore.for_run_store(self.store)
-        return self._program_store
 
     def close(self) -> None:
         """Shut down the warm worker pool (idempotent)."""
@@ -290,11 +257,6 @@ class ExecutionSession:
             }
         snapshot["store"] = (self.store.stats()
                              if self.store is not None else None)
-        from ..core.programstore import ProgramStore
-
-        snapshot["program_store"] = (
-            self._program_store.stats()
-            if isinstance(self._program_store, ProgramStore) else None)
         return snapshot
 
     # -- the store probe ----------------------------------------------
@@ -326,21 +288,17 @@ class ExecutionSession:
                    iss_engine: Optional[str] = None,
                    include: Sequence[str] = ESTIMATORS,
                    fault_plan=None,
-                   budget=None,
-                   engine: Optional[str] = None) -> Comparison:
+                   budget=None) -> Comparison:
         """Evaluate a workload or scenario spec with every estimator.
 
         The canonical per-cell sequence (see
         :func:`~repro.experiments.runner.run_comparison` for the full
         parameter documentation): probe the session's run store per
-        estimator, run the misses — with the spec-level SoA fallback
-        probe routing spec-visible unsupported features to the object
-        engine before any workload materialization — and commit each
-        computed payload back to the store.  ``engine`` and
-        ``iss_engine`` default to the session-wide settings when not
+        estimator, run the misses — the hybrid kernel on its object
+        engine — and commit each computed payload back to the store.
+        ``iss_engine`` defaults to the session-wide setting when not
         passed.
         """
-        engine = engine if engine is not None else self.engine
         iss_engine = (iss_engine if iss_engine is not None
                       else self.iss_engine)
         spec = None
@@ -438,41 +396,19 @@ class ExecutionSession:
                 elapsed = time.perf_counter() - start
                 queueing = float(result.queueing_cycles)
             elif estimator == "mesh":
-                mesh_engine = engine
-                spec_reason = None
-                if engine == "soa" and spec is not None:
-                    from ..core.compile import soa_spec_fallback_reason
-
-                    # Probe the spec itself (never materializes the
-                    # workload): a spec-visible unsupported feature
-                    # routes to the object engine here instead of
-                    # paying a doomed compile attempt against the
-                    # assembled kernel.
-                    spec_reason = soa_spec_fallback_reason(spec)
-                    if spec_reason is not None:
-                        mesh_engine = "object"
                 start = time.perf_counter()
-                engine_kwargs = ({} if mesh_engine is None
-                                 else {"engine": mesh_engine})
                 if spec is not None and spec.kind == "workload":
                     result = build_mesh_kernel(
-                        get_workload(),
-                        **spec.kernel_kwargs(**engine_kwargs)).run()
+                        get_workload(), **spec.kernel_kwargs()).run()
                 elif spec is not None:
-                    result = spec.run(**engine_kwargs)
+                    result = spec.run()
                 else:
                     result = run_hybrid(get_workload(), model=model,
                                         min_timeslice=min_timeslice,
                                         annotation=annotation,
                                         fault_plan=fault_plan,
-                                        budget=budget,
-                                        **engine_kwargs)
+                                        budget=budget)
                 elapsed = time.perf_counter() - start
-                if spec_reason is not None:
-                    # Keep the routing visible on the result, exactly
-                    # as a kernel-level fallback would have recorded it.
-                    result = dataclasses.replace(
-                        result, engine_fallback_reason=spec_reason)
                 queueing = result.queueing_cycles
             elif estimator == "analytical":
                 start = time.perf_counter()
@@ -513,30 +449,31 @@ class ExecutionSession:
 
         The grid-granularity sequence (see
         :func:`~repro.experiments.runner.batched_mesh_prepass` for the
-        full contract): cold cells inside the SoA compiled subset are
-        compiled **or** loaded from the session's program store in
-        deterministic ``spec_hash``-sorted order, replayed, and
-        committed into the run store with exactly the payload
-        :meth:`comparison` would have written (only ``wall_seconds``,
-        an environment measurement, differs).  Each cell replays and
-        commits on its own: a cell whose replay raises stays cold for
-        the per-cell path, which reproduces the canonical diagnostic.
+        full contract): each cold cell inside the SoA compiled subset
+        is built, compiled, characterized, replayed and committed, in
+        deterministic ``spec_hash``-sorted order, with exactly the
+        payload :meth:`comparison` would have written (only
+        ``wall_seconds``, an environment measurement, differs).  A cell
+        the compiler refuses (:func:`~repro.core.compile.
+        soa_spec_fallback_reason` on the spec, or
+        :class:`~repro.core.errors.UnsupportedFeatureError` from the
+        kernel) counts in ``cells_skipped`` and stays cold, and a cell
+        whose replay raises stays cold too.  The per-cell path then
+        runs such a cell on the object engine and reproduces its
+        canonical diagnostic.
         """
         from ..core.compile import compile_kernel, soa_spec_fallback_reason
         from ..core.errors import UnsupportedFeatureError
-        from ..core.programstore import (build_replay_kernel,
-                                         program_hash, replay_batch)
+        from ..core.programstore import replay_batch
         from ..scenario.spec import ScenarioSpec
 
         counters: Dict[str, object] = {
             "cells_total": 0, "cells_cold": 0, "cells_batched": 0,
-            "cells_skipped": 0, "compiles": 0, "program_loads": 0,
-            "wall_seconds": 0.0}
+            "cells_skipped": 0, "compiles": 0, "wall_seconds": 0.0}
         store = self.store
         if store is None:
             return counters
         start = time.perf_counter()
-        program_store = self.program_store
         unique: Dict[str, ScenarioSpec] = {}
         for spec in specs:
             if isinstance(spec, ScenarioSpec) and spec.kind == "workload":
@@ -544,37 +481,25 @@ class ExecutionSession:
         ordered = sorted(unique.items())
         counters["cells_total"] = len(ordered)
         for spec_hash, spec in ordered:
-            if (spec_hash, "mesh") in store:
+            # A present but unreadable artifact is a miss, exactly as
+            # on the per-cell path, so the prepass recomputes it.
+            if store.get(spec_hash, "mesh") is not None:
                 continue
             counters["cells_cold"] += 1
             if soa_spec_fallback_reason(spec) is not None:
                 counters["cells_skipped"] += 1
                 continue
-            phash = program_hash(spec_hash,
-                                 version=program_store.version)
-            hit = program_store.get(phash)
-            if hit is not None:
-                program, aux = hit
-                kernel = build_replay_kernel(spec, program)
-                busy_reference = float(aux.get("busy_reference", 0.0))
-                counters["program_loads"] += 1
-            else:
-                workload = spec.build_workload()
-                self._count(workload_builds=1)
-                kernel = build_mesh_kernel(workload, **spec.kernel_kwargs())
-                try:
-                    program = compile_kernel(kernel)
-                except UnsupportedFeatureError:
-                    counters["cells_skipped"] += 1
-                    continue
-                busy_reference = sum(
-                    p.busy_cycles
-                    for p in characterize(workload).values())
-                program_store.put(phash, program,
-                                  {"spec_hash": spec_hash,
-                                   "busy_reference": busy_reference})
-                program_store.record_compile()
-                counters["compiles"] += 1
+            workload = spec.build_workload()
+            self._count(workload_builds=1)
+            kernel = build_mesh_kernel(workload, **spec.kernel_kwargs())
+            try:
+                program = compile_kernel(kernel)
+            except UnsupportedFeatureError:
+                counters["cells_skipped"] += 1
+                continue
+            counters["compiles"] += 1
+            busy_reference = sum(
+                p.busy_cycles for p in characterize(workload).values())
             cell_start = time.perf_counter()
             try:
                 result, = replay_batch([(kernel, program)])
@@ -625,7 +550,6 @@ class ExecutionSession:
                 and "mesh" in kwargs.get("include", ESTIMATORS)):
             self.prepass(items)
         cell_kwargs = dict(kwargs)
-        cell_kwargs.setdefault("engine", self.engine)
         cell_kwargs.setdefault("iss_engine", self.iss_engine)
         cell_kwargs["store"] = self.store
         executor = self.executor

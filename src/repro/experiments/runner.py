@@ -15,8 +15,8 @@ the store are replayed without building the workload or running any
 engine, which is what makes repeated figure and report invocations
 warm cache hits.
 
-The execution sequence itself — store probe, spec-level SoA fallback
-probe, compile-or-load, tiered replay, store commit — lives in
+The execution sequence itself — store probe, run, store commit, and
+the optional compile-and-replay prepass for cold spec grids — lives in
 :class:`~repro.engine.session.ExecutionSession`; the functions here are
 the stable per-call front door over an ephemeral session.  Hold a
 session yourself (as the sweep supervisor and the service do) to keep
@@ -69,7 +69,6 @@ def run_comparison(workload,
                    include: Sequence[str] = ESTIMATORS,
                    fault_plan=None,
                    budget=None,
-                   engine: Optional[str] = None,
                    store=None) -> Comparison:
     """Evaluate a workload or scenario spec with every estimator.
 
@@ -97,18 +96,6 @@ def run_comparison(workload,
     budget:
         Optional :class:`~repro.robustness.budget.RunBudget` enforced
         on the hybrid kernel and both cycle engines.
-    engine:
-        Hybrid-kernel execution engine (``"object"`` or ``"soa"``; see
-        :class:`~repro.core.kernel.HybridKernel`).  An execution knob
-        like ``iss_engine``, not scenario identity: it may be passed
-        alongside a spec, never changes the spec hash, and both
-        engines produce bit-identical results.  With ``"soa"`` and a
-        spec, a pure spec-level compile probe
-        (:func:`~repro.core.compile.soa_spec_fallback_reason`) routes
-        spec-visible unsupported features to the object engine before
-        any workload materialization, so the fallback costs zero extra
-        builds — and a comparison whose estimators all hit the run
-        store still performs zero workload builds, probe included.
     store:
         Optional :class:`~repro.scenario.store.RunStore` (or its root
         path).  Requires a spec: estimator results are looked up by
@@ -121,23 +108,19 @@ def run_comparison(workload,
                               min_timeslice=min_timeslice,
                               annotation=annotation,
                               iss_engine=iss_engine, include=include,
-                              fault_plan=fault_plan, budget=budget,
-                              engine=engine)
+                              fault_plan=fault_plan, budget=budget)
 
 
-def batched_mesh_prepass(specs: Sequence, store,
-                         program_store=None) -> Dict[str, object]:
+def batched_mesh_prepass(specs: Sequence, store) -> Dict[str, object]:
     """Warm a run store's ``mesh`` artifacts for a grid of specs.
 
     The grid-granularity sequence (implemented by
     :meth:`~repro.engine.session.ExecutionSession.prepass`): cold cells
     (no ``mesh`` artifact in ``store``) whose specs sit inside the SoA
     compiled subset are visited in deterministic ``spec_hash``-sorted
-    order, compiled **or** loaded from the content-addressed
-    :class:`~repro.core.programstore.ProgramStore` (one compilation per
-    spec across processes, resumes, and warm service runs), replayed
-    on the array interpreter and each committed into the run store
-    under its own ``spec_hash`` with exactly the payload
+    order, compiled (:func:`~repro.core.compile.compile_kernel`),
+    replayed on the array interpreter and each committed into the run
+    store under its own ``spec_hash`` with exactly the payload
     :func:`run_comparison` would have written (only ``wall_seconds``,
     an environment measurement, differs).  A subsequent
     :func:`run_comparison` over the same specs then hits the store for
@@ -158,24 +141,18 @@ def batched_mesh_prepass(specs: Sequence, store,
     store:
         The :class:`~repro.scenario.store.RunStore` (or root path) to
         warm.  ``None`` disables the prepass.
-    program_store:
-        Optional :class:`~repro.core.programstore.ProgramStore` (or
-        root path); defaults to ``<store root>/programs`` in the run
-        store's code-version namespace.
 
     Returns a counter mapping: ``cells_total`` (unique eligible specs),
     ``cells_cold``, ``cells_batched`` (warmed), ``cells_skipped``
-    (outside the compiled subset), ``compiles``, ``program_loads``,
-    and ``wall_seconds``.
+    (outside the compiled subset), ``compiles`` and ``wall_seconds``.
     """
-    session = ExecutionSession(store=store, program_store=program_store)
+    session = ExecutionSession(store=store)
     return session.prepass(specs)
 
 
 def run_comparisons_parallel(workloads: Sequence,
                              jobs: int = 0,
                              batch_cells: int = 0,
-                             program_store=None,
                              **kwargs) -> List[CellResult]:
     """Batch :func:`run_comparison` over independent scenarios.
 
@@ -190,8 +167,8 @@ def run_comparisons_parallel(workloads: Sequence,
 
     With ``batch_cells`` non-zero, a spec grid flowing through a store
     first runs :func:`batched_mesh_prepass` — cold ``mesh`` cells
-    inside the SoA compiled subset are compiled-or-loaded from the
-    ``program_store`` and replayed into the run store, so the per-cell
+    inside the SoA compiled subset are compiled and replayed into the
+    run store, so the per-cell
     workers below find them warm; ``0`` skips the prepass.  Purely an
     execution knob: results are bit-identical either way.
 
@@ -208,8 +185,6 @@ def run_comparisons_parallel(workloads: Sequence,
     """
     kwargs = dict(kwargs)
     with ExecutionSession(store=kwargs.pop("store", None),
-                          program_store=program_store,
-                          engine=kwargs.pop("engine", None),
                           jobs=jobs) as session:
         return session.map_comparisons(workloads,
                                        batch_cells=batch_cells,

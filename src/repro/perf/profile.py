@@ -167,7 +167,7 @@ def commit_throughput_soa(quick: bool = False,
     compared to re-assert bit-identity in the record.
     """
     from ..core.compile import compile_kernel, numpy_available
-    from ..core.soa import SoAKernelEngine
+    from ..core.soa import run_program
 
     if not numpy_available():  # pragma: no cover - no-numpy CI skips bench
         return {"numpy": False, "skipped": "SoA engine requires NumPy"}
@@ -196,9 +196,8 @@ def commit_throughput_soa(quick: bool = False,
     soa_result = None
     for _ in range(repeats):
         kernel = _periodic_kernel(per_thread)
-        engine = SoAKernelEngine(kernel, program)
         start = time.perf_counter()
-        soa_result = engine.run()
+        soa_result = run_program(kernel, program)
         elapsed = time.perf_counter() - start
         if soa_best is None or elapsed < soa_best:
             soa_best = elapsed

@@ -247,19 +247,14 @@ class ScenarioSpec:
         stored as plain mappings so spec equality stays structural.
     kernel_options:
         Extra :class:`~repro.core.kernel.HybridKernel` keyword
-        arguments (e.g. ``slice_accounting``, ``batch_analysis``,
-        ``engine``).  Note that kernel options are part of the spec and
-        therefore of :meth:`spec_hash`; for knobs that are pure
-        execution choices with bit-identical results — ``engine`` above
-        all — prefer passing overrides at run time
-        (``spec.run(engine="soa")``, or ``engine=`` on
-        :func:`~repro.experiments.runner.run_comparison`) so the
-        scenario's content address stays engine-agnostic.  The prepass
-        knobs — ``batch_cells`` and program-store paths — are likewise
-        pure execution parameters of the runner/sweep layer and never
-        enter the spec or :meth:`spec_hash`; a prepassed grid and a
-        per-cell loop produce bit-identical artifacts under the same
-        content addresses.
+        arguments: ``slice_accounting`` (one of
+        ``HybridKernel.SLICE_ACCOUNTING``) and ``batch_analysis`` (a
+        JSON boolean).  Kernel options are part of the spec and
+        therefore of :meth:`spec_hash`.  The prepass knob
+        ``batch_cells`` is a pure execution parameter of the
+        runner/sweep/service layer and never enters the spec or
+        :meth:`spec_hash`; a prepassed grid and a per-cell loop produce
+        bit-identical artifacts under the same content addresses.
     """
 
     generator: str
@@ -415,7 +410,8 @@ class ScenarioSpec:
         build through the registry, the fault plan / budget mappings
         must deserialize, and every ``kernel_options`` key must name a
         :class:`~repro.core.kernel.HybridKernel` keyword parameter that
-        the spec does not already hold as a field of its own.  Each
+        the spec does not already hold as a field of its own, with a
+        value the kernel accepts.  Each
         failure raises :class:`SpecValidationError` located at the
         offending field — the check the service runs at admission so a
         bad document is a 400, never a worker-side crash.  Returns
@@ -462,6 +458,7 @@ class ScenarioSpec:
                 raise SpecValidationError(
                     f"unknown kernel option {key!r}; choose from "
                     f"{sorted(allowed)}", f"/kernel_options/{key}")
+        _check_kernel_option_values(self.kernel_options)
         return self
 
     def canonical_json(self) -> str:
@@ -527,9 +524,9 @@ class ScenarioSpec:
     def kernel_kwargs(self, **overrides) -> Dict[str, object]:
         """Live keyword arguments for ``build_kernel`` from this spec.
 
-        ``overrides`` replace spec-derived values — e.g. an execution
-        ``engine`` chosen at run time, or one fault plan object shared
-        across the runs of a sweep instead of one built per cell.
+        ``overrides`` replace spec-derived values — e.g. one fault plan
+        object shared across the runs of a sweep instead of one built
+        per cell.
         """
         kwargs: Dict[str, object] = {
             "model": self.build_model(),
@@ -603,6 +600,30 @@ def _kernel_option_names():
     params = inspect.signature(HybridKernel.__init__).parameters
     return (frozenset(params) - {"self", "processors", "shared_resources"}
             - frozenset(_SPEC_FIELDS))
+
+
+def _check_kernel_option_values(options: Mapping) -> None:
+    """Reject ``kernel_options`` values the kernel would refuse.
+
+    Admission must catch them: unchecked, a bad ``slice_accounting``
+    fails only inside the kernel constructor at run time, and a
+    non-boolean ``batch_analysis`` (``"yes"``) is silently truthy.
+    """
+    from ..core.kernel import HybridKernel
+
+    if "slice_accounting" in options:
+        value = options["slice_accounting"]
+        if value not in HybridKernel.SLICE_ACCOUNTING:
+            raise SpecValidationError(
+                f"unknown slice_accounting {value!r}; choose from "
+                f"{list(HybridKernel.SLICE_ACCOUNTING)}",
+                "/kernel_options/slice_accounting")
+    if "batch_analysis" in options:
+        value = options["batch_analysis"]
+        if not isinstance(value, bool):
+            raise SpecValidationError(
+                f"batch_analysis must be a JSON boolean, got {value!r}",
+                "/kernel_options/batch_analysis")
 
 
 def load_spec(path: str) -> ScenarioSpec:

@@ -1,8 +1,8 @@
 """Contention-modeling-as-a-service: the asyncio HTTP/JSON front door.
 
 One long-running process owns one
-:class:`~repro.engine.session.ExecutionSession` (run store, program
-store, warm pool) and serves three endpoints over plain HTTP/1.1 —
+:class:`~repro.engine.session.ExecutionSession` (run store, warm pool)
+and serves three endpoints over plain HTTP/1.1 —
 stdlib ``asyncio`` framing, no new dependencies:
 
 ``POST /v1/analyze``
@@ -28,8 +28,12 @@ stdlib ``asyncio`` framing, no new dependencies:
       identical cold requests cost exactly one kernel run.
     * **session** — leaders enqueue their spec; a drain task collects
       everything pending and runs it as *one batch* through
-      :meth:`ExecutionSession.map_comparisons` (SoA prepass included)
-      on the session's persistent warm pool, off the event loop.
+      :meth:`ExecutionSession.map_comparisons` on the session's
+      persistent warm pool, off the event loop.  With ``batch_cells``
+      on (the default), the session's prepass first compiles each cold
+      ``mesh`` cell inside the SoA subset and commits its replayed
+      result; cells it skips (budgets, fault plans, no NumPy, ...) run
+      on the kernel's object engine in the per-cell pass.
     * **deadline** — the per-request deadline is a
       :class:`~repro.robustness.budget.RunBudget`
       (``max_wall_seconds``); a request whose wait exceeds it gets a
@@ -42,7 +46,7 @@ stdlib ``asyncio`` framing, no new dependencies:
 ``GET /v1/stats``
     Counters: service request/warm/cold/timeout tallies, coalescing
     leads/joins, quota admissions/rejections, and the full session
-    snapshot (store, program store, pool, prepass).
+    snapshot (store, pool, prepass).
 """
 
 from __future__ import annotations
@@ -81,7 +85,6 @@ class ServiceConfig:
     #: Worker count of the session's warm pool (1 = serial in-process,
     #: which keeps the session's kernel-run counters exact).
     jobs: int = 1
-    engine: Optional[str] = None
     #: Whether drained batches run the mesh prepass first (non-zero,
     #: the default) or skip it (``0``).
     batch_cells: int = -1
@@ -108,8 +111,7 @@ class AnalyzeService:
 
         self.config = config
         self.session = session if session is not None else \
-            ExecutionSession(store=config.store, engine=config.engine,
-                             jobs=config.jobs,
+            ExecutionSession(store=config.store, jobs=config.jobs,
                              batch_cells=config.batch_cells)
         self.quotas = QuotaRegistry(
             capacity=config.quota_capacity,

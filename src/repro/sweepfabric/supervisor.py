@@ -94,9 +94,10 @@ class CellOutcome:
     #: Of this cell's estimator runs, how many were replayed from the
     #: store (for ``"cache"`` cells: all of them).
     cached_runs: int = 0
-    #: Execution engine the cell's mesh estimator actually used
-    #: (``"soa"`` / ``"object"``), ``"cached"`` when the mesh run was
-    #: replayed from the store, or ``None`` when mesh was not included.
+    #: Execution engine the cell's mesh estimator used (``"object"``),
+    #: ``"cached"`` when the mesh run was replayed from the store (a
+    #: prepass-warmed cell included), or ``None`` when mesh was not
+    #: included.
     mesh_engine: Optional[str] = None
 
     @property
@@ -169,7 +170,6 @@ class SweepResult:
             lines.append(
                 f"  batched prepass: warmed {p['cells_batched']} "
                 f"cell(s), compiles={p['compiles']} "
-                f"program_loads={p['program_loads']} "
                 f"skipped={p['cells_skipped']}")
         if c.get("cells_stolen"):
             lines.append(f"  work stealing recovered "
@@ -187,10 +187,11 @@ class SweepResult:
     def _tally_lines(self) -> List[str]:
         """Per-engine tally of the mesh runs, CI-greppable.
 
-        A silent fallback regression (cells quietly dropping from SoA
-        to the object engine) shows up as a changed tally, exactly like
-        the "recomputed estimator runs: 0" contract line makes
-        recomputation regressions greppable.
+        A prepass regression (cells it should have warmed running on
+        the object engine instead of replaying from the store) shows up
+        as a changed tally, exactly like the "recomputed estimator
+        runs: 0" contract line makes recomputation regressions
+        greppable.
         """
         engines: Dict[str, int] = {}
         for cell in self.cells:
@@ -219,15 +220,11 @@ def _fabric_cell(config: Dict, spec: ScenarioSpec) -> Dict:
     store = RunStore(config["store_root"],
                      version=config["store_version"], tmp_max_age=None)
     include = tuple(config["include"])
-    comparison = run_comparison(spec, include=include, store=store,
-                                engine=config.get("engine"))
+    comparison = run_comparison(spec, include=include, store=store)
     mesh_engine = None
     mesh = comparison.runs.get("mesh")
     if mesh is not None:
-        if mesh.cached:
-            mesh_engine = "cached"
-        else:
-            mesh_engine = getattr(mesh.detail, "engine_used", "object")
+        mesh_engine = "cached" if mesh.cached else mesh.detail.engine_used
     return {
         "spec_hash": spec_hash,
         "cached_runs": comparison.cached_runs,
@@ -267,18 +264,13 @@ class SweepSupervisor:
                  shard_budget=None,
                  cell_timeout: Optional[float] = None,
                  chaos: Optional[ChaosPlan] = None,
-                 engine: Optional[str] = None,
                  batch_cells: int = 0,
-                 program_store=None,
                  sleep=time.sleep):
         #: The execution facade this sweep routes through: it owns the
-        #: run store, the companion program store, and the engine
-        #: selection shared by the probe, the prepass,
-        #: and (transitively, via :func:`run_comparison` in the worker
+        #: run store shared by the probe, the prepass, and
+        #: (transitively, via :func:`run_comparison` in the worker
         #: cells) every dispatched cell.
-        self.session = ExecutionSession(store=store,
-                                        program_store=program_store,
-                                        engine=engine, jobs=jobs,
+        self.session = ExecutionSession(store=store, jobs=jobs,
                                         batch_cells=batch_cells)
         self.store = self.session.store
         if self.store is None:
@@ -292,16 +284,11 @@ class SweepSupervisor:
         self.cell_timeout = cell_timeout
         self.jobs = jobs
         self.chaos = chaos
-        #: Hybrid execution engine for every mesh cell ("soa"/"object"/
-        #: None).  Execution-only: never part of spec hashes, so cached
-        #: payloads from either engine replay interchangeably.
-        self.engine = engine
         #: Mesh prepass knob: non-zero warms cold mesh cells through
         #: the grid-granularity replay before probing (see
         #: :meth:`~repro.engine.session.ExecutionSession.prepass`).
         #: Execution-only — never part of spec hashes or the plan hash.
         self.batch_cells = batch_cells
-        self.program_store = program_store
         #: Counters of the last prepass (``None`` until run).
         self.prepass_counters: Optional[Dict[str, object]] = None
         self.sleep = sleep
@@ -353,7 +340,6 @@ class SweepSupervisor:
             "store_version": self.store.version,
             "include": list(self.include),
             "chaos": self.chaos.to_dict() if self.chaos else None,
-            "engine": self.engine,
             "supervisor_pid": os.getpid(),
         }
 

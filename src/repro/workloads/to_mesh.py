@@ -75,10 +75,7 @@ def build_kernel(workload: Workload,
         by the kernel run loop.
     kernel_options:
         Extra :class:`HybridKernel` keyword arguments
-        (``slice_accounting``, ``batch_analysis``, ``engine``, ...),
-        forwarded verbatim — ``engine="soa"`` selects the
-        structure-of-arrays execution engine with automatic object-
-        engine fallback.
+        (``slice_accounting``, ``batch_analysis``), forwarded verbatim.
     """
     if not isinstance(workload, Workload):
         spec = _as_scenario_spec(workload)

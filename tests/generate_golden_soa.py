@@ -6,8 +6,8 @@ Run from the repository root::
 
 Snapshots come from the **object** engine: the file pins the seed
 semantics of barrier/FIFO-mutex scenarios inside the widened compiled
-subset, and the SoA replay tiers (interpreted and JIT) must reproduce
-them bit-for-bit with zero fallback.  Only regenerate when kernel
+subset, and their compiled SoA replay must reproduce them bit-for-bit,
+with every configuration inside the compiled subset.  Only regenerate when kernel
 behavior is *intentionally* changed — a diff here on a perf PR is a
 regression, not an update.
 """

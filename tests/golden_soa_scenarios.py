@@ -10,8 +10,8 @@ engine); the committed ``data/golden_soa.json`` pins their bit-exact
 results on the SoA path.
 
 The snapshots are generated from the *object* engine — the golden file
-pins the seed semantics, and the SoA/JIT replays must reproduce them,
-never the other way around.
+pins the seed semantics, and the SoA replay must reproduce them, never
+the other way around.
 """
 
 from __future__ import annotations
@@ -116,9 +116,9 @@ def soa_config_key(name: str, mts: float) -> str:
     return f"{name}|mts={mts:g}"
 
 
-def soa_kernel(name: str, mts: float, **kw) -> HybridKernel:
-    """Build one golden cell's kernel (extra kwargs select engines)."""
-    return SOA_SCENARIOS[name](min_timeslice=mts, **kw)
+def soa_kernel(name: str, mts: float) -> HybridKernel:
+    """Build one golden cell's kernel."""
+    return SOA_SCENARIOS[name](min_timeslice=mts)
 
 
 def soa_snapshot(result) -> dict:

@@ -1,32 +1,24 @@
-"""Program store + grid replay: caching, prepass, fidelity.
+"""Compiled-program replay and the mesh prepass: fidelity and economics.
 
-Three claims under test:
+Two claims under test:
 
 * **Bit identity regardless of grid composition** — compiled programs
   replayed through :func:`~repro.core.programstore.replay_batch` must
   produce hex-identical results whatever the grid's composition or
-  order; a program loaded from the
-  :class:`~repro.core.programstore.ProgramStore` must be
-  indistinguishable from the one just compiled.  Verified over the
-  equivalence kernels (hypothesis-drawn compositions), the
-  ``golden_soa.json`` sync configs, and the full golden configuration
-  matrix (which, tracing, must stay out of the program cache entirely
-  — its object-engine equality is pinned by ``test_core_soa``).
-* **RunStore discipline** — corrupt or stale-format bundles count as
-  misses (recompiling is always correct), code-version changes miss by
-  construction (``program_hash`` covers them), writes are atomic, and
-  orphaned ``*.tmp`` debris is swept on open.
-* **Compile-once economics** — a warm store satisfies a whole grid
-  with zero compiles, the prepass writes artifacts identical
-  to per-cell ``run_comparison`` (modulo ``wall_seconds``, a wall-clock
-  measurement), and neither ``batch_cells`` nor any store path ever
-  enters ``spec_hash``.
+  order.  Verified over the equivalence kernels (hypothesis-drawn
+  compositions), the ``golden_soa.json`` sync configs, and the full
+  golden configuration matrix (which, tracing, must stay out of the
+  prepass entirely — its object-engine equality is pinned by
+  ``test_core_soa``).
+* **The prepass is an execution choice** — it writes artifacts
+  identical to per-cell ``run_comparison`` (modulo ``wall_seconds``, a
+  wall-clock measurement), a warm run store leaves it nothing to
+  compile, a corrupt ``mesh`` artifact is recomputed, and
+  ``batch_cells`` never enters ``spec_hash``.
 """
 
 import json
-import os
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -39,16 +31,12 @@ from golden_soa_scenarios import (SOA_GOLDEN_PATH, iter_soa_configs,
                                   soa_snapshot)
 from test_core_soa import EQUIVALENCE_KERNELS, needs_numpy, result_snapshot
 from repro.core import compile_kernel
-from repro.core.compile import COMPILE_SUBSET_VERSION
 from repro.core.errors import UnsupportedFeatureError
-from repro.core.programstore import (FORMAT_VERSION, ProgramStore,
-                                     as_program_store, bind_program,
-                                     build_replay_kernel, program_hash,
-                                     replay_batch, replay_program)
+from repro.core.programstore import replay_batch
 from repro.experiments.runner import (batched_mesh_prepass,
                                       run_comparison,
                                       run_comparisons_parallel)
-from repro.scenario.store import RunStore, code_version
+from repro.scenario.store import RunStore
 from repro.sweepfabric.grids import fig5_grid
 
 _REFS = {}
@@ -63,79 +51,32 @@ def _ref(name):
 
 def _cell(name):
     """A fresh ``(kernel, program)`` replay cell for one kernel name."""
-    factory = EQUIVALENCE_KERNELS[name]
-    kernel = factory(engine="soa")
-    program = compile_kernel(factory())
-    bind_program(program, kernel)
-    return kernel, program
+    kernel = EQUIVALENCE_KERNELS[name]()
+    return kernel, compile_kernel(kernel)
+
+
+def _without_wall(payload):
+    payload = dict(payload)
+    payload.pop("wall_seconds")
+    return payload
 
 
 # ---------------------------------------------------------------------
-# program_hash: every input moves the address
+# replay fidelity: goldens and grid composition
 # ---------------------------------------------------------------------
-
-
-def test_program_hash_covers_every_input():
-    base = program_hash("abc", subset_version=1, version="v1")
-    assert program_hash("abc", 1, "v1") == base
-    assert program_hash("abd", 1, "v1") != base
-    assert program_hash("abc", 2, "v1") != base
-    assert program_hash("abc", 1, "v2") != base
-
-
-def test_program_hash_defaults_to_runtime_versions(monkeypatch):
-    monkeypatch.setenv("REPRO_CODE_VERSION", "deadbeefcafe")
-    assert program_hash("abc") == program_hash(
-        "abc", COMPILE_SUBSET_VERSION, "deadbeefcafe")
-    assert code_version() == "deadbeefcafe"
-
-
-# ---------------------------------------------------------------------
-# store roundtrip: a loaded program is the compiled program
-# ---------------------------------------------------------------------
-
-
-@needs_numpy
-@pytest.mark.parametrize("name", sorted(EQUIVALENCE_KERNELS))
-def test_store_roundtrip_replays_bit_identically(name, tmp_path):
-    """Compile, serialize, load, replay: hex-identical to the object run.
-
-    Covers every equivalence kernel — sync primitives, bursts,
-    heterogeneous powers, pinned scheduling — so the flattening has no
-    blind spots.  Fresh :class:`Barrier` / :class:`Mutex` objects on
-    load are fine because replay write-backs are pure deltas.
-    """
-    factory = EQUIVALENCE_KERNELS[name]
-    store = ProgramStore(tmp_path, version="t")
-    phash = program_hash(name, version="t")
-    store.put(phash, compile_kernel(factory()), {"tag": name})
-    loaded = store.get(phash)
-    assert loaded is not None
-    program, aux = loaded
-    assert aux == {"tag": name}
-    kernel = factory(engine="soa")
-    bind_program(program, kernel)
-    assert result_snapshot(replay_program(kernel, program)) == _ref(name)
-    assert store.stats()["hits"] == 1
-    assert store.stats()["compiles"] == 0
 
 
 @needs_numpy
 @pytest.mark.parametrize(
     "cfg", list(iter_soa_configs()),
     ids=[soa_config_key(*cfg) for cfg in iter_soa_configs()])
-def test_golden_soa_configs_roundtrip_batched(cfg, tmp_path):
-    """Sync goldens survive the store and the grid replay path."""
+def test_golden_soa_configs_roundtrip_batched(cfg):
+    """Sync goldens survive the compile -> grid replay round trip."""
     name, mts = cfg
     golden = json.loads(SOA_GOLDEN_PATH.read_text(
         encoding="utf-8"))[soa_config_key(name, mts)]
-    store = ProgramStore(tmp_path, version="t")
-    phash = program_hash(soa_config_key(name, mts), version="t")
-    store.put(phash, compile_kernel(soa_kernel(name, mts)))
-    program, _aux = store.get(phash)
-    kernel = soa_kernel(name, mts, engine="soa")
-    bind_program(program, kernel)
-    [result] = replay_batch([(kernel, program)])
+    kernel = soa_kernel(name, mts)
+    [result] = replay_batch([(kernel, compile_kernel(kernel))])
     assert result.engine_used == "soa"
     assert soa_snapshot(result) == golden
 
@@ -144,13 +85,13 @@ def test_golden_soa_configs_roundtrip_batched(cfg, tmp_path):
     "cfg", list(iter_configs()),
     ids=[config_key(*cfg) for cfg in iter_configs()])
 def test_golden_matrix_configs_stay_out_of_the_program_cache(cfg):
-    """Every golden config refuses compilation, so none can be cached.
+    """Every golden config refuses compilation, so the prepass skips it.
 
     The golden matrix traces, which the compiled subset rejects — the
-    prepass therefore reproduces these goldens by
-    *never taking them*: they fall through to the object engine, whose
-    snapshot equality ``test_core_soa`` pins.  A config slipping into
-    the compiled subset here would silently change that contract.
+    prepass therefore reproduces these goldens by *never taking them*:
+    they fall through to the object engine, whose snapshot equality
+    ``test_core_soa`` pins.  A config slipping into the compiled subset
+    here would silently change that contract.
     """
     scenario, policy, mts, fault = cfg
     kernel = SCENARIOS[scenario](
@@ -160,11 +101,6 @@ def test_golden_matrix_configs_stay_out_of_the_program_cache(cfg):
         trace=True)
     with pytest.raises(UnsupportedFeatureError):
         compile_kernel(kernel)
-
-
-# ---------------------------------------------------------------------
-# grid replay: composition and order never matter
-# ---------------------------------------------------------------------
 
 
 @needs_numpy
@@ -183,119 +119,8 @@ def test_batched_grid_replay_matches_per_cell(names, seed):
 
 
 # ---------------------------------------------------------------------
-# RunStore discipline: corruption, staleness, atomicity, hygiene
+# prepass: compile, replay, commit the same artifacts
 # ---------------------------------------------------------------------
-
-
-@needs_numpy
-def test_corrupt_bundle_counts_as_miss_and_heals(tmp_path):
-    store = ProgramStore(tmp_path, version="t")
-    phash = program_hash("cell", version="t")
-    store.put(phash, compile_kernel(EQUIVALENCE_KERNELS["fused"]()))
-    store.path_for(phash).write_bytes(b"torn write, not an npz")
-    assert store.get(phash) is None
-    assert store.corrupt == 1
-    assert store.misses == 1
-    store.put(phash, compile_kernel(EQUIVALENCE_KERNELS["fused"]()))
-    assert store.get(phash) is not None
-    assert store.hits == 1
-
-
-@needs_numpy
-def test_stale_bundle_format_counts_as_corrupt(tmp_path, monkeypatch):
-    store = ProgramStore(tmp_path, version="t")
-    phash = program_hash("cell", version="t")
-    store.put(phash, compile_kernel(EQUIVALENCE_KERNELS["fused"]()))
-    monkeypatch.setattr("repro.core.programstore.FORMAT_VERSION",
-                        FORMAT_VERSION + 1)
-    assert store.get(phash) is None
-    assert store.corrupt == 1
-
-
-@needs_numpy
-def test_stale_code_version_misses_by_construction(tmp_path):
-    """A code change moves both the namespace and the hash."""
-    spec_hash = "abc123"
-    old = ProgramStore(tmp_path, version="aaa")
-    old_hash = program_hash(spec_hash, version="aaa")
-    new_hash = program_hash(spec_hash, version="bbb")
-    assert old_hash != new_hash
-    old.put(old_hash, compile_kernel(EQUIVALENCE_KERNELS["fused"]()))
-    new = ProgramStore(tmp_path, version="bbb")
-    assert new.get(new_hash) is None
-    assert new.misses == 1
-    assert old.get(old_hash) is not None
-
-
-@needs_numpy
-def test_put_is_atomic_and_leaves_no_tmp(tmp_path):
-    store = ProgramStore(tmp_path, version="t")
-    phash = program_hash("cell", version="t")
-    store.put(phash, compile_kernel(EQUIVALENCE_KERNELS["fused"]()))
-    assert store.orphan_tmp() == 0
-    assert store.count() == 1
-    assert phash in store
-    assert program_hash("other", version="t") not in store
-
-
-def test_orphan_tmp_swept_on_open(tmp_path):
-    stale_dir = tmp_path / "t" / "ab"
-    stale_dir.mkdir(parents=True)
-    stale = stale_dir / "dead.tmp"
-    stale.write_bytes(b"abandoned")
-    old = time.time() - 3600
-    os.utime(stale, (old, old))
-    fresh = stale_dir / "live.tmp"
-    fresh.write_bytes(b"in flight")
-    store = ProgramStore(tmp_path, version="t")
-    assert store.tmp_swept == 1
-    assert not stale.exists()
-    assert fresh.exists()  # young enough to be a live writer
-    store.sweep_tmp(max_age=0.0)
-    assert not fresh.exists()
-
-
-def test_as_program_store_coerces_paths(tmp_path):
-    assert as_program_store(None) is None
-    store = ProgramStore(tmp_path)
-    assert as_program_store(store) is store
-    coerced = as_program_store(tmp_path / "sub")
-    assert isinstance(coerced, ProgramStore)
-
-
-# ---------------------------------------------------------------------
-# prepass: compile once, replay everywhere, same artifacts
-# ---------------------------------------------------------------------
-
-
-@needs_numpy
-def test_warm_program_store_performs_zero_compiles(tmp_path):
-    """Second grid against a warm store: loads only, bit-equal output."""
-    specs = fig5_grid(quick=True)
-    programs_root = tmp_path / "programs"
-    cold_store = RunStore(tmp_path / "cold")
-    cold_programs = ProgramStore(programs_root,
-                                 version=cold_store.version)
-    cold = batched_mesh_prepass(specs, cold_store,
-                                program_store=cold_programs)
-    assert cold["cells_cold"] == len(specs)
-    assert cold["compiles"] == len(specs)
-    assert cold["program_loads"] == 0
-    warm_store = RunStore(tmp_path / "warm")
-    warm_programs = ProgramStore(programs_root,
-                                 version=warm_store.version)
-    warm = batched_mesh_prepass(specs, warm_store,
-                                program_store=warm_programs)
-    assert warm["compiles"] == 0
-    assert warm["program_loads"] == len(specs)
-    assert warm_programs.compiles == 0
-    for spec in specs:
-        a = cold_store.get(spec.spec_hash(), "mesh")
-        b = warm_store.get(spec.spec_hash(), "mesh")
-        assert a is not None and b is not None
-        a.pop("wall_seconds")
-        b.pop("wall_seconds")
-        assert a == b
 
 
 @needs_numpy
@@ -308,18 +133,39 @@ def test_prepass_artifacts_match_per_cell_runs(tmp_path):
     specs = fig5_grid(quick=True)
     percell = RunStore(tmp_path / "percell")
     for spec in specs:
-        run_comparison(spec, include=("mesh",), engine="soa",
-                       store=percell)
+        run_comparison(spec, include=("mesh",), store=percell)
     batched = RunStore(tmp_path / "batched")
-    batched_mesh_prepass(specs, batched,
-                         program_store=tmp_path / "programs")
+    counters = batched_mesh_prepass(specs, batched)
+    assert counters["compiles"] == counters["cells_batched"] == len(specs)
     for spec in specs:
         a = percell.get(spec.spec_hash(), "mesh")
         b = batched.get(spec.spec_hash(), "mesh")
         assert a is not None and b is not None
-        a.pop("wall_seconds")
-        b.pop("wall_seconds")
-        assert a == b
+        assert _without_wall(a) == _without_wall(b)
+
+
+@needs_numpy
+def test_corrupt_mesh_artifact_is_recomputed_by_the_prepass(tmp_path):
+    """A torn ``mesh`` payload counts as cold: one compile, same bytes.
+
+    The run store treats an unreadable artifact as a miss, so the
+    prepass compiles that one cell again and rewrites a payload equal
+    to the original in every field but ``wall_seconds``.
+    """
+    specs = fig5_grid(quick=True)
+    store = RunStore(tmp_path / "store")
+    batched_mesh_prepass(specs, store)
+    victim = specs[0].spec_hash()
+    before = store.get(victim, "mesh")
+    store.path_for(victim, "mesh").write_bytes(b"torn write, not json")
+    counters = batched_mesh_prepass(specs, store)
+    assert counters["cells_cold"] == 1
+    assert counters["compiles"] == 1
+    assert counters["cells_batched"] == 1
+    after = store.get(victim, "mesh")
+    assert after is not None
+    assert json.dumps(_without_wall(after), sort_keys=True) == \
+        json.dumps(_without_wall(before), sort_keys=True)
 
 
 @needs_numpy
@@ -331,31 +177,25 @@ def test_batch_cells_is_execution_only(tmp_path):
     for batch_cells in (0, 1):
         stores[batch_cells] = RunStore(tmp_path / f"store{batch_cells}")
         run_comparisons_parallel(
-            specs, jobs=1, include=("mesh",), engine="soa",
-            store=stores[batch_cells], batch_cells=batch_cells,
-            program_store=tmp_path / f"p{batch_cells}")
+            specs, jobs=1, include=("mesh",),
+            store=stores[batch_cells], batch_cells=batch_cells)
     for spec in specs:
         a = stores[0].get(spec.spec_hash(), "mesh")
         b = stores[1].get(spec.spec_hash(), "mesh")
-        a.pop("wall_seconds")
-        b.pop("wall_seconds")
-        assert a == b
-    again = batched_mesh_prepass(specs, stores[1],
-                                 program_store=tmp_path / "p1")
+        assert _without_wall(a) == _without_wall(b)
+    again = batched_mesh_prepass(specs, stores[1])
     assert again["cells_cold"] == 0
     assert again["compiles"] == 0
 
 
 @needs_numpy
 def test_batch_knobs_never_enter_spec_hash(tmp_path):
-    """``batch_cells`` / store paths are invisible to content addresses."""
+    """``batch_cells`` and store paths are invisible to content addresses."""
     spec = fig5_grid(quick=True)[0]
     before = spec.spec_hash()
     serialized = json.dumps(spec.to_dict())
     assert "batch_cells" not in serialized
-    assert "program_store" not in serialized
-    batched_mesh_prepass([spec], RunStore(tmp_path / "s"),
-                         program_store=tmp_path / "p")
+    batched_mesh_prepass([spec], RunStore(tmp_path / "s"))
     assert spec.spec_hash() == before
 
 
@@ -365,7 +205,7 @@ def test_run_comparisons_parallel_batches_cold_grids(tmp_path):
     specs = fig5_grid(quick=True)
     comparisons = run_comparisons_parallel(
         specs, include=("mesh",), store=tmp_path / "store",
-        batch_cells=-1, program_store=tmp_path / "programs")
+        batch_cells=-1)
     assert len(comparisons) == len(specs)
     assert all(cell.value.cached_runs == 1 for cell in comparisons)
 
@@ -374,34 +214,18 @@ def test_run_comparisons_parallel_batches_cold_grids(tmp_path):
 def test_sweep_summary_reports_tallies_and_prepass(tmp_path):
     """The sweep summary tallies engines and the prepass.
 
-    The tally line is the CI-greppable record of which engine actually
-    served a sweep — a silent fallback shows up as a changed
+    The tally line is the CI-greppable record of how each mesh cell
+    was served — a prepass regression shows up as a changed
     ``engine_used:`` line.
     """
     from repro.sweepfabric import run_sharded_sweep
 
     specs = fig5_grid(quick=True)
     result = run_sharded_sweep(specs, RunStore(tmp_path / "store"),
-                               shards=2, jobs=1, batch_cells=-1,
-                               program_store=tmp_path / "programs")
+                               shards=2, jobs=1, batch_cells=-1)
     text = result.summary()
     assert f"batched prepass: warmed {len(specs)} cell(s)" in text
-    assert f"compiles={len(specs)} program_loads=0 skipped=0" in text
+    assert f"compiles={len(specs)} skipped=0" in text
+    assert "program_loads" not in text
     assert "engine_used:" in text
-    assert "backend_used:" not in text
     assert f"cached={len(specs)}" in text
-
-
-@needs_numpy
-def test_build_replay_kernel_is_hollow_but_faithful(tmp_path):
-    """A replay kernel rebuilt from spec + program replays bit-equal to
-    a freshly built cell, without ever materializing the workload."""
-    spec = fig5_grid(quick=True)[0]
-    reference = result_snapshot(spec.run(engine="soa"))
-    program = compile_kernel(spec.build_kernel(engine="soa"))
-    store = ProgramStore(tmp_path, version="t")
-    phash = program_hash(spec.spec_hash(), version="t")
-    store.put(phash, program)
-    loaded, _aux = store.get(phash)
-    kernel = build_replay_kernel(spec, loaded)
-    assert result_snapshot(replay_program(kernel, loaded)) == reference

@@ -1,24 +1,27 @@
-"""Structure-of-arrays engine: equivalence, fallback routing, probes.
+"""Structure-of-arrays replay: equivalence, refusals, prepass probes.
 
-Three layers of defense around ``HybridKernel(engine="soa")``:
+The kernel itself only runs its object engine; compiled replay
+(:func:`~repro.core.compile.compile_kernel` +
+:func:`~repro.core.programstore.replay_batch`) is what the mesh prepass
+runs.  Three layers of defense around it:
 
 * **Direct equivalence** — hand-built kernels spanning the compiled
   subset (flat/fused constant-model paths, generic dict-dispatch
   models, bursts, window merging, heterogeneous powers, pinned
-  scheduling) must produce hex-identical snapshots under both engines.
+  scheduling, barriers, mutexes) must replay hex-identically to a
+  fresh object-engine run of the same kernel.
 * **Property-based equivalence** — hypothesis draws random
   :class:`~repro.scenario.spec.ScenarioSpec` instances (synthetic
   generators x every registered closed-form model, fault plans off)
-  and asserts the two engines return *equal* ``SimulationResult``
-  objects — dataclass equality over exact floats.
-* **Zero silent divergence** — every feature outside the compiled
-  subset must route to the object engine with a recorded reason; the
-  full golden matrix (all 80 snapshot entries) re-runs under
-  ``engine="soa"`` and must both match the seed snapshots and carry an
-  explicit ``engine_fallback_reason`` whenever the object engine ran.
-  The sync golden file (``data/golden_soa.json``) pins
-  barrier/FIFO-mutex configurations that compile with *zero* fallback
-  under the widened subset.
+  and asserts replay and object run return *equal*
+  ``SimulationResult`` objects — dataclass equality over exact floats.
+* **Explicit refusals** — every feature outside the compiled subset
+  raises :class:`~repro.core.errors.UnsupportedFeatureError` naming
+  it, and the kernel still runs on the object engine.  The full golden
+  matrix (all 80 snapshot entries) reproduces its seed snapshots; each
+  entry's untraced twin replays bit-equal wherever it compiles.  The
+  sync golden file (``data/golden_soa.json``) pins barrier/FIFO-mutex
+  configurations that must all compile and replay exactly.
 """
 
 import json
@@ -38,13 +41,14 @@ from repro.contention import (ChenLinModel, ConstantModel, MD1Model,
                               MM1Model, NullModel, available_models)
 from repro.core import (HybridKernel, LogicalThread, Processor,
                         SharedResource, compile_kernel, numpy_available)
-from repro.core.errors import (ConfigurationError,
-                               UnsupportedFeatureError)
+from repro.core.errors import UnsupportedFeatureError
 from repro.core.events import (acquire, barrier_wait, consume, release,
                                sem_acquire, sem_release, spawn)
 from repro.core.scheduler import PinnedScheduler, PriorityScheduler
-from repro.core.soa import SoAKernelEngine
+from repro.core.programstore import replay_batch, replay_program
 from repro.core.sync import Barrier, Mutex, Semaphore
+from repro.experiments.runner import (run_comparison,
+                                      run_comparisons_parallel)
 from repro.robustness.budget import RunBudget
 from repro.scenario.spec import ModelSpec, ScenarioSpec
 
@@ -224,32 +228,29 @@ EQUIVALENCE_KERNELS = {
 }
 
 
+def replay(kernel):
+    """Compile ``kernel`` and replay it on itself, as the prepass does."""
+    [result] = replay_batch([(kernel, compile_kernel(kernel))])
+    assert result.engine_used == "soa"
+    return result
+
+
 @needs_numpy
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_KERNELS))
 def test_soa_bit_identical(name):
     factory = EQUIVALENCE_KERNELS[name]
-    obj_kernel = factory()
-    obj = obj_kernel.run()
-    soa_kernel = factory(engine="soa")
-    soa = soa_kernel.run()
-    assert soa.engine_used == "soa"
-    assert soa.engine_fallback_reason is None
-    assert result_snapshot(soa) == result_snapshot(obj)
+    obj = factory().run()
+    assert obj.engine_used == "object"
+    assert result_snapshot(replay(factory())) == result_snapshot(obj)
 
 
 @needs_numpy
 def test_program_replay_is_bit_identical():
-    """Compile once, replay on fresh kernels: the sweep usage pattern."""
+    """Compile once, replay on fresh kernels: one program, many runs."""
     program = compile_kernel(_fused())
     reference = _fused().run()
     for _ in range(2):
-        replay = SoAKernelEngine(_fused(), program).run()
-        assert replay == reference
-
-
-def test_engine_name_is_validated():
-    with pytest.raises(ConfigurationError):
-        HybridKernel([Processor("p0", 1.0)], engine="vectorized")
+        assert replay_program(_fused(), program) == reference
 
 
 # ---------------------------------------------------------------------
@@ -289,61 +290,67 @@ def _with_spawn(**kw):
     return kernel
 
 
+#: Each case outside the compiled subset, with the
+#: ``UnsupportedFeatureError.feature`` its compile raises.
 FALLBACK_CASES = {
-    "tracing": lambda **kw: _fused(trace=True, **kw),
-    "fault plans": lambda **kw: _fused(fault_plan=make_fault_plan(),
-                                       **kw),
-    "run budgets": lambda **kw: _fused(
-        budget=RunBudget(max_virtual_time=1e9), **kw),
-    "scheduler": lambda **kw: _fused(scheduler=PriorityScheduler(),
-                                     **kw),
-    "synchronization": _with_semaphore,
-    "deferred sync policy": lambda **kw: _barrier(sync_policy="deferred",
-                                                  **kw),
-    "spawn": _with_spawn,
+    "tracing": (lambda: _fused(trace=True), "tracing"),
+    "fault plans": (lambda: _fused(fault_plan=make_fault_plan()),
+                    "fault plans"),
+    "run budgets": (lambda: _fused(budget=RunBudget(max_virtual_time=1e9)),
+                    "run budgets"),
+    "scheduler": (lambda: _fused(scheduler=PriorityScheduler()),
+                  "the PriorityScheduler scheduler (FIFO family only)"),
+    "synchronization": (_with_semaphore, "SemAcquire events (thread 't')"),
+    "deferred sync policy": (
+        lambda: _barrier(sync_policy="deferred"),
+        "synchronization under sync_policy='deferred' (eager only)"),
+    "spawn": (_with_spawn, "Spawn events (thread 't')"),
 }
 
 
 @needs_numpy
 @pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
 def test_unsupported_features_route_to_object(case):
-    """Routing is explicit (reason recorded) and result-preserving."""
-    reference = FALLBACK_CASES[case]().run()
-    kernel = FALLBACK_CASES[case](engine="soa")
+    """The compile names the feature and leaves the kernel runnable.
+
+    The prepass skips such a cell; the per-cell path then runs the
+    same kernel shape on the object engine, unchanged by the probe.
+    """
+    factory, feature = FALLBACK_CASES[case]
+    kernel = factory()
+    with pytest.raises(UnsupportedFeatureError) as raised:
+        compile_kernel(kernel)
+    assert raised.value.feature == feature
     result = kernel.run()
     assert result.engine_used == "object"
-    assert result.engine_fallback_reason  # never a silent fallback
-    assert result == reference
+    assert result == factory().run()
 
 
-@needs_numpy
-def test_until_and_steps_route_to_object():
-    bounded = _fused(engine="soa").run(until=50.0)
-    assert bounded.engine_used == "object"
-    assert bounded.engine_fallback_reason == "time-bounded runs (until=)"
-    stepper = _fused(engine="soa")
-    for _ in stepper.steps():
-        break
-    assert stepper.engine_fallback_reason == \
-        "stepwise observation (steps())"
-
-
-def test_no_numpy_routes_to_object(monkeypatch):
-    """Scalar fallback: without NumPy every run uses the object engine."""
+def test_no_numpy_routes_to_object(monkeypatch, tmp_path):
+    """Without NumPy nothing compiles: the prepass skips every cell and
+    the per-cell path computes it on the object engine."""
     import repro.core.compile as compile_mod
+    from repro.engine.session import ExecutionSession
 
     monkeypatch.setattr(compile_mod, "_np", None)
     assert not compile_mod.numpy_available()
-    with pytest.raises(UnsupportedFeatureError):
+    with pytest.raises(UnsupportedFeatureError) as raised:
         compile_kernel(_fused())
-    result = _fused(engine="soa").run()
-    assert result.engine_used == "object"
-    assert result.engine_fallback_reason == "running without NumPy"
-    assert result == _fused().run()
+    assert raised.value.feature == "running without NumPy"
+    spec = ScenarioSpec(generator="uniform",
+                        params={"threads": 2, "phases": 3, "seed": 4})
+    with ExecutionSession(store=tmp_path) as session:
+        counters = session.prepass([spec])
+        assert counters["cells_skipped"] == 1
+        assert counters["compiles"] == 0
+        mesh = session.comparison(spec, include=("mesh",)).runs["mesh"]
+    assert not mesh.cached
+    assert mesh.detail.engine_used == "object"
+    assert mesh.detail == spec.run()
 
 
 # ---------------------------------------------------------------------
-# the 80-entry golden matrix under engine="soa"
+# the 80-entry golden matrix: object snapshots, SoA replay of the twins
 # ---------------------------------------------------------------------
 
 ENTRIES = list(iter_golden_entries())
@@ -358,24 +365,35 @@ def golden():
     "cfg,memo", ENTRIES,
     ids=[config_key(*cfg, memo) for cfg, memo in ENTRIES])
 def test_golden_matrix_under_soa(cfg, memo, golden):
-    """Seed snapshots reproduce exactly with zero silent divergence.
+    """Seed snapshots reproduce exactly; compilable twins replay bit-equal.
 
-    Every golden configuration traces, so today each cell routes to
-    the object engine with ``"tracing"`` recorded; if the compiled
-    subset ever widens, cells that genuinely run on the array engine
-    must still match the seed snapshot bit-for-bit.
+    Every golden configuration traces, which the compiled subset
+    refuses, so the snapshot itself always comes from the object
+    engine.  Its untraced twin is the same kernel minus the trace log:
+    where the twin compiles, its replay must equal the twin's own
+    object run; where it does not, the refusal must name a feature.
     """
     scenario, policy, mts, fault = cfg
-    kernel = SCENARIOS[scenario](
-        sync_policy=policy,
-        min_timeslice=mts,
-        fault_plan=make_fault_plan() if fault else None,
-        trace=True,
-        engine="soa")
+
+    def build(trace):
+        return SCENARIOS[scenario](
+            sync_policy=policy,
+            min_timeslice=mts,
+            fault_plan=make_fault_plan() if fault else None,
+            trace=trace)
+
+    kernel = build(trace=True)
     result = kernel.run()
     assert snapshot(kernel, result) == golden_expected(golden, cfg, memo)
-    if result.engine_used != "soa":
-        assert result.engine_fallback_reason  # routed, never silent
+    twin = build(trace=False)
+    try:
+        program = compile_kernel(twin)
+    except UnsupportedFeatureError as exc:
+        assert exc.feature
+        return
+    [replayed] = replay_batch([(twin, program)])
+    assert result_snapshot(replayed) == result_snapshot(
+        build(trace=False).run())
 
 
 # ---------------------------------------------------------------------
@@ -395,19 +413,16 @@ def golden_soa():
     "cfg", SOA_CONFIGS,
     ids=[soa_config_key(*cfg) for cfg in SOA_CONFIGS])
 def test_golden_soa_zero_fallback(cfg, golden_soa):
-    """Barrier/FIFO-mutex goldens compile and replay with no fallback.
+    """Barrier/FIFO-mutex goldens compile and replay bit-for-bit.
 
-    These shapes were object-only before the subset widened (any sync
-    event routed to the object engine).  Now they must run on the SoA
-    path with ``engine_fallback_reason`` empty and match the
-    object-engine seed snapshot bit-for-bit.
+    The file pins object-engine snapshots; every one of these configs
+    must compile (no ``UnsupportedFeatureError``) and its replay must
+    reproduce the snapshot exactly.
     """
     name, mts = cfg
     expected = golden_soa[soa_config_key(name, mts)]
-    kernel = soa_kernel(name, mts, engine="soa")
-    result = kernel.run()
-    assert result.engine_used == "soa"
-    assert result.engine_fallback_reason is None
+    assert soa_snapshot(soa_kernel(name, mts).run()) == expected
+    result = replay(soa_kernel(name, mts))
     assert soa_snapshot(result) == expected
     assert result_snapshot(result) == expected  # serializers agree
 
@@ -444,17 +459,15 @@ spec_strategy = st.builds(
 @settings(max_examples=40, deadline=None)
 @given(spec=spec_strategy)
 def test_random_specs_bit_identical(spec):
-    """SoA and object runs of the same spec are equal SimulationResults.
+    """SoA replay and object run of one spec are equal SimulationResults.
 
-    Fault plans stay off (they are a spec-visible fallback, covered by
+    Fault plans stay off (they are a spec-visible refusal, covered by
     the routing tests); everything else the ``uniform`` generator can
     express — thread counts, access densities, window merging, every
-    registered closed-form model — must agree exactly.
+    registered closed-form model — must compile and agree exactly.
     """
     obj = spec.run()
-    soa = spec.run(engine="soa")
-    assert soa.engine_used == "soa"
-    assert soa.engine_fallback_reason is None
+    soa = replay(spec.build_kernel())
     assert soa == obj
     assert soa.makespan.hex() == obj.makespan.hex()
     for name, thread in soa.threads.items():
@@ -513,19 +526,14 @@ def test_random_sync_specs_bit_identical(spec):
     """Random barrier/mutex specs agree between the two engines.
 
     The object engine and the SoA replay must return hex-identical
-    snapshots, with the SoA run inside the compiled subset (no
-    fallback).
+    snapshots, with every drawn spec inside the compiled subset.
     """
     reference = result_snapshot(spec.build_kernel().run())
-
-    soa = spec.build_kernel(engine="soa").run()
-    assert soa.engine_used == "soa"
-    assert soa.engine_fallback_reason is None
-    assert result_snapshot(soa) == reference
+    assert result_snapshot(replay(spec.build_kernel())) == reference
 
 
 # ---------------------------------------------------------------------
-# run_comparison probe ordering: no extra builds, zero on store hits
+# prepass probe ordering: no extra builds, zero on store hits
 # ---------------------------------------------------------------------
 
 def _counting_builds(monkeypatch):
@@ -541,15 +549,13 @@ def _counting_builds(monkeypatch):
     return calls
 
 
-def test_soa_spec_probe_costs_no_extra_builds(monkeypatch):
-    """A spec-visible fallback must not materialize the workload twice.
+def test_soa_spec_probe_costs_no_extra_builds(tmp_path, monkeypatch):
+    """A spec-visible refusal costs the prepass no workload build.
 
-    ``trace=True`` is visible on the spec itself, so the probe routes
-    to the object engine *before* any workload build — the comparison
-    performs exactly as many builds as an object-engine run would.
+    ``trace=True`` is visible on the spec itself, so the prepass skips
+    the cell *before* building anything; the per-cell comparison then
+    performs exactly the builds it would have made with no prepass.
     """
-    from repro.experiments.runner import run_comparison
-
     spec = ScenarioSpec(generator="uniform",
                         params={"threads": 2, "phases": 3, "seed": 1},
                         trace=True)
@@ -557,28 +563,26 @@ def test_soa_spec_probe_costs_no_extra_builds(monkeypatch):
     baseline = run_comparison(spec, include=("mesh",))
     object_builds = len(calls)
     calls.clear()
-    routed = run_comparison(spec, include=("mesh",), engine="soa")
+    [cell] = run_comparisons_parallel([spec], jobs=1, include=("mesh",),
+                                      store=tmp_path, batch_cells=-1)
     assert len(calls) == object_builds
-    detail = routed.runs["mesh"].detail
-    assert detail.engine_used == "object"
-    assert detail.engine_fallback_reason == (
-        "tracing" if numpy_available() else "running without NumPy")
-    assert detail.queueing_cycles == \
-        baseline.runs["mesh"].detail.queueing_cycles
+    mesh = cell.value.runs["mesh"]
+    assert not mesh.cached
+    assert mesh.detail.engine_used == "object"
+    assert mesh.detail == baseline.runs["mesh"].detail
 
 
 def test_soa_store_hit_runs_zero_builds(tmp_path, monkeypatch):
-    """A full store hit finishes without builds — probe included."""
-    from repro.experiments.runner import run_comparison
-
+    """A grid the prepass warmed replays with zero builds, prepass
+    included: a warm cell is never compiled a second time."""
     spec = ScenarioSpec(generator="uniform",
-                        params={"threads": 2, "phases": 3, "seed": 2},
-                        trace=True)
-    cold = run_comparison(spec, include=("mesh", "analytical"),
-                          store=tmp_path, engine="soa")
-    assert cold.cached_runs == 0
+                        params={"threads": 2, "phases": 3, "seed": 2})
+    include = ("mesh", "analytical")
+    [cold] = run_comparisons_parallel([spec], jobs=1, include=include,
+                                      store=tmp_path, batch_cells=-1)
+    assert cold.value.cached_runs == (1 if numpy_available() else 0)
     calls = _counting_builds(monkeypatch)
-    warm = run_comparison(spec, include=("mesh", "analytical"),
-                          store=tmp_path, engine="soa")
-    assert warm.cached_runs == 2
+    [warm] = run_comparisons_parallel([spec], jobs=1, include=include,
+                                      store=tmp_path, batch_cells=-1)
+    assert warm.value.cached_runs == 2
     assert calls == []

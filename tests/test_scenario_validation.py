@@ -12,7 +12,6 @@ the ``.at()`` re-rooting mechanics the nesting relies on.
 
 import pytest
 
-from repro.core import numpy_available
 from repro.core.errors import ConfigurationError, SpecValidationError
 from repro.scenario import ScenarioSpec
 from repro.scenario.spec import ModelSpec
@@ -186,7 +185,7 @@ class TestKernelOptions:
     """
 
     @pytest.mark.parametrize("key", ["bogus", "backend", "memo_cache",
-                                     "processors", "scheduler",
+                                     "engine", "processors", "scheduler",
                                      "fault_plan"])
     def test_unknown_option_is_located(self, key):
         error = located(dict(BASE, kernel_options={key: 1}))
@@ -195,11 +194,33 @@ class TestKernelOptions:
 
     def test_known_options_pass(self):
         spec = ScenarioSpec.from_dict(dict(
-            BASE, kernel_options={"engine": "soa",
-                                  "slice_accounting": "rescan",
+            BASE, kernel_options={"slice_accounting": "rescan",
                                   "batch_analysis": False})).validate()
-        expected = "soa" if numpy_available() else "object"
-        assert spec.run().engine_used == expected
+        assert spec.run().engine_used == "object"
+
+    @pytest.mark.parametrize("key,value", [
+        ("slice_accounting", "bogus"),
+        ("slice_accounting", 1),
+        ("slice_accounting", None),
+        ("batch_analysis", "yes"),
+        ("batch_analysis", 1),
+        ("batch_analysis", None),
+    ])
+    def test_bad_option_value_is_located(self, key, value):
+        """A value the kernel would refuse (or misread) fails admission.
+
+        Unchecked, a bad ``slice_accounting`` surfaces only when the
+        kernel is built, and ``"yes"`` reads as a truthy
+        ``batch_analysis``.
+        """
+        error = located(dict(BASE, kernel_options={key: value}))
+        assert error.path == f"/kernel_options/{key}"
+        assert key in str(error)
+
+    @pytest.mark.parametrize("value", ["incremental", "rescan"])
+    def test_every_slice_accounting_mode_passes(self, value):
+        ScenarioSpec.from_dict(dict(
+            BASE, kernel_options={"slice_accounting": value})).validate()
 
 
 class TestValidateReturnsSelf:

@@ -22,7 +22,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core import numpy_available
+from repro.core import numpy_available, result_to_dict
+from repro.experiments.runner import run_comparison
+from repro.scenario import ScenarioSpec
 from repro.service import ServiceConfig, ServiceHandle
 
 SPEC = {"generator": "uniform",
@@ -181,13 +183,27 @@ class TestValidation:
         assert status == 400
         assert payload["path"].startswith("/spec/model")
 
-    @pytest.mark.parametrize("key", ["bogus", "backend", "memo_cache"])
+    @pytest.mark.parametrize("key", ["bogus", "backend", "memo_cache",
+                                     "engine"])
     def test_bad_kernel_option_is_located_400(self, server, key):
         status, payload, _ = analyze(
             server.port,
             {"spec": dict(SPEC, kernel_options={key: 1})})
         assert status == 400
         assert payload["path"] == f"/spec/kernel_options/{key}"
+
+    @pytest.mark.parametrize("key,value", [
+        ("slice_accounting", "bogus"), ("batch_analysis", "yes")])
+    def test_bad_kernel_option_value_is_located_400(self, server, key,
+                                                    value):
+        """Admission catches values the kernel would refuse at run
+        time (a 500) or misread (``"yes"`` as truthy)."""
+        status, payload, _ = analyze(
+            server.port,
+            {"spec": dict(SPEC, kernel_options={key: value})})
+        assert status == 400
+        assert payload["path"] == f"/spec/kernel_options/{key}"
+        assert stats(server.port)["session"]["comparisons"] == 0
 
     def test_removed_memo_field_is_located_400(self, server):
         status, payload, _ = analyze(
@@ -301,3 +317,58 @@ class TestPrepassIntegration:
             assert session["estimator_runs_computed"] == int(not warmed)
             assert session["estimator_runs_cached"] == int(warmed)
             assert payload["runs"]["mesh"]["cached"] is warmed
+
+    @pytest.fixture
+    def prepass_server(self, tmp_path):
+        config = ServiceConfig(port=0, store=str(tmp_path / "store"),
+                               batch_cells=-1,
+                               quota_capacity=10_000,
+                               quota_refill_per_second=10_000.0)
+        with ServiceHandle(config) as handle:
+            yield handle
+
+    def test_faulted_cold_spec_is_served_by_the_object_path(
+            self, prepass_server):
+        """A fault plan keeps a cell out of the compiled subset: the
+        prepass skips it before building anything, and the per-cell
+        object run answers with the payload a direct comparison gives."""
+        document = dict(SPEC, fault_plan={
+            "seed": 7, "windows": [{
+                "resource": "bus", "start": 10.0, "end": 5000.0,
+                "service_factor": 2.0, "fail_prob": 0.2}]})
+        status, payload, _ = analyze(
+            prepass_server.port,
+            {"spec": document, "include": ["mesh"], "detail": True})
+        assert status == 200
+        assert payload["source"] == "computed"
+        session = stats(prepass_server.port)["session"]
+        assert session["prepass"]["cells_skipped"] == 1
+        assert session["prepass"]["compiles"] == 0
+        assert session["prepass"]["cells_batched"] == 0
+        assert session["workload_builds"] == 1
+        assert session["estimator_runs_computed"] == 1
+        expected = run_comparison(ScenarioSpec.from_dict(document),
+                                  include=("mesh",)).runs["mesh"]
+        mesh = payload["runs"]["mesh"]
+        assert mesh["cached"] is False
+        assert mesh["queueing_cycles"] == expected.queueing_cycles
+        assert mesh["percent_queueing"] == expected.percent_queueing
+        assert mesh["detail"] == json.loads(
+            json.dumps(result_to_dict(expected.detail)))
+        assert expected.detail.faults_injected > 0
+
+    def test_budgeted_cold_spec_fails_with_the_typed_error(
+            self, prepass_server):
+        """A run budget keeps a cell out of the compiled subset; the
+        per-cell object run trips it and the request carries the
+        kernel's ``BudgetExceededError``."""
+        document = dict(SPEC, budget={"max_regions": 2})
+        status, payload, _ = analyze(
+            prepass_server.port, {"spec": document, "include": ["mesh"]})
+        assert status == 500
+        assert payload["error"].startswith("BudgetExceededError: ")
+        assert "max_regions 2" in payload["error"]
+        session = stats(prepass_server.port)["session"]
+        assert session["prepass"]["cells_skipped"] == 1
+        assert session["prepass"]["compiles"] == 0
+        assert session["workload_builds"] == 1
