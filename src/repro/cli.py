@@ -57,14 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
              "are reused across invocations (keyed by spec hash and "
              "code version)")
 
-    batching = argparse.ArgumentParser(add_help=False)
-    batching.add_argument(
-        "--batch-cells", type=int, default=0, metavar="N",
-        help="mesh prepass: warm cold mesh cells by compiling each "
-             "spec and replaying it on the SoA interpreter before "
-             "dispatch (any non-zero N = on, 0 = off); execution-only "
-             "— never changes spec hashes or results")
-
     fig4 = sub.add_parser("fig4", parents=[jobs, cache],
                           help="FFT queueing vs processor count")
     fig4.add_argument("--cache-kb", type=int, default=512,
@@ -97,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="self-check the reproduction's claims (fast)")
 
     calibrate = sub.add_parser(
-        "calibrate", parents=[jobs, cache, batching],
+        "calibrate", parents=[jobs],
         help="fit-check a contention model vs ground truth")
     calibrate.add_argument("--model", default="chenlin",
                            choices=available_models())
@@ -185,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=available_models())
 
     sweep = sub.add_parser(
-        "sweep", parents=[jobs, cache, batching],
+        "sweep", parents=[jobs, cache],
         help="fault-tolerant sharded sweep of a named spec grid "
              "(resumable via manifest + run store)")
     sweep.add_argument("--grid", default="fig5",
@@ -237,11 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8351,
                        help="TCP port (0 = pick an ephemeral port)")
-    serve.add_argument("--batch-cells", type=int, default=-1,
-                       metavar="N",
-                       help="SoA prepass for drained cold cells (any "
-                            "non-zero N = on, 0 = off); execution-only "
-                            "— never changes results")
     serve.add_argument("--deadline-seconds", type=float, default=30.0,
                        metavar="SECONDS",
                        help="default per-request wall-clock deadline "
@@ -317,9 +304,7 @@ def _run_calibrate(args) -> str:
     model = make_model(args.model)
     points = calibrate_model(model, threads=args.threads,
                              service_time=args.service,
-                             jobs=getattr(args, "jobs", 1),
-                             store=getattr(args, "cache_dir", None),
-                             batch_cells=getattr(args, "batch_cells", 0))
+                             jobs=getattr(args, "jobs", 1))
     return render_calibration(model, points)
 
 
@@ -551,8 +536,7 @@ def _run_sweep(args) -> str:
         jobs=args.jobs, resume=args.resume,
         manifest_path=args.manifest, include=include, retry=retry,
         shard_budget=args.shard_timeout,
-        cell_timeout=args.cell_timeout, chaos=chaos,
-        batch_cells=getattr(args, "batch_cells", 0))
+        cell_timeout=args.cell_timeout, chaos=chaos)
     return result.summary()
 
 
@@ -615,7 +599,6 @@ def _run_serve(args) -> str:
         port=args.port,
         store=getattr(args, "cache_dir", None),
         jobs=getattr(args, "jobs", 1),
-        batch_cells=args.batch_cells,
         deadline_seconds=args.deadline_seconds,
         quota_capacity=args.quota_capacity,
         quota_refill_per_second=args.quota_refill,

@@ -103,9 +103,7 @@ def calibrate_model(model: ContentionModel,
                     phases: int = 6,
                     arbiter: str = "fifo",
                     seed: int = 3,
-                    jobs: int = 1,
-                    store=None,
-                    batch_cells: int = 0) -> List[CalibrationPoint]:
+                    jobs: int = 1) -> List[CalibrationPoint]:
     """Sweep utilization and compare ``model`` to the cycle engine.
 
     Each sweep point builds a symmetric workload of ``threads`` uniform
@@ -119,29 +117,10 @@ def calibrate_model(model: ContentionModel,
     wrappers (e.g. a ``GuardedModel`` health report) see every
     evaluation regardless of ``jobs``, and the closed-form models take
     their vectorized fast path across the grid.
-
-    With a ``store`` (a :class:`~repro.scenario.store.RunStore` or root
-    path) and non-zero ``batch_cells``, the matching
-    :func:`calibration_specs` grid is warmed through the mesh prepass
-    first — cold cells compile and replay into the run store — so a
-    subsequent ``repro sweep --grid calibration`` (or any spec-driven
-    evaluation of the same grid) starts warm.  Purely an execution
-    choice: the calibration points themselves are measured by the
-    cycle engine either way and are unaffected.
     """
     if threads < 2:
         raise ValueError("calibration needs >= 2 contending threads")
     from ..perf.parallel import ParallelExecutor
-
-    if store is not None and batch_cells:
-        from ..experiments.runner import batched_mesh_prepass
-
-        batched_mesh_prepass(
-            calibration_specs(threads=threads, service_time=service_time,
-                              phase_work=phase_work,
-                              access_sweep=access_sweep, phases=phases,
-                              seed=seed),
-            store)
 
     sweep = list(access_sweep)
     with ParallelExecutor(jobs) as executor:

@@ -8,19 +8,22 @@ shard) and the service (per request) all need, and everything it uses:
 * one persistent warm :class:`~repro.perf.parallel.ParallelExecutor`
   pool, reused across :meth:`map_comparisons` calls instead of being
   respawned per batch;
-* the execution-only ``iss_engine`` default (never part of any spec
-  hash);
 * thread-safe counters (comparisons evaluated, estimator runs computed
-  vs replayed, workload builds, prepass totals) that a long-running
-  service exposes on its ``/v1/stats`` endpoint.
+  vs replayed, workload builds) that a long-running service exposes on
+  its ``/v1/stats`` endpoint.
 
-The hybrid kernel always runs on its object engine in
-:meth:`comparison`.  Compiled structure-of-arrays replay lives only in
-:meth:`prepass`: it compiles each cold cell of a spec grid
-(:func:`~repro.core.compile.compile_kernel`), replays it
-(:func:`~repro.core.programstore.replay_batch`) and commits the
-``mesh`` payload, so the per-cell pass then finds that cell warm.  A
-cell outside the compiled subset stays cold for the per-cell path.
+:meth:`comparison` is the only way a front end computes a cold cell:
+one workload build, one lowering to cycle programs and one
+characterization, shared by the ISS (:class:`~repro.cycle.EventEngine`),
+the hybrid kernel on its object engine and the analytical estimator.
+
+:meth:`prepass` — compile each cold cell of a spec grid
+(:func:`~repro.core.compile.compile_kernel`), replay it
+(:func:`~repro.core.programstore.replay_batch`) and commit the ``mesh``
+payload — is run by no front end: it builds, lowers and characterizes
+each cell a second time, so it is slower than the per-cell pass it
+would warm.  It stays callable for the SoA equivalence tests and the
+benchmark tracer, which wrap it by name.
 
 Contracts:
 
@@ -30,12 +33,10 @@ Contracts:
 * a comparison whose every requested estimator hits the store performs
   **zero workload builds**.
 
-:func:`repro.experiments.runner.run_comparison`,
-:func:`~repro.experiments.runner.run_comparisons_parallel`, and
-:func:`~repro.experiments.runner.batched_mesh_prepass` are thin
+:func:`repro.experiments.runner.run_comparison` and
+:func:`~repro.experiments.runner.run_comparisons_parallel` are thin
 wrappers over an (ephemeral) session, the sweep supervisor holds one
-for probe/prepass/dispatch, and the service holds one for its whole
-lifetime.
+for probe/dispatch, and the service holds one for its whole lifetime.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import Dict, List, Optional, Sequence
 from ..analytical import characterize, estimate_queueing
 from ..contention.base import ContentionModel
 from ..core.errors import ConfigurationError
-from ..cycle import EventEngine, SteppedEngine
+from ..cycle import EventEngine
 from ..cycle.program import lower_workload
 from ..perf.parallel import CellResult, ParallelExecutor
 from ..workloads.to_mesh import build_kernel as build_mesh_kernel
@@ -165,32 +166,18 @@ class ExecutionSession:
         Optional :class:`~repro.scenario.store.RunStore` (or its root
         path).  The session probes it before running anything and
         commits every computed estimator payload back.
-    iss_engine:
-        Session-wide cycle-engine default (``"event"`` or
-        ``"stepped"``), overridable per call.  A pure execution knob:
-        never part of any spec hash, and both engines are
-        bit-identical.
     jobs:
         Worker count of the session's persistent warm pool
         (``0`` = one per CPU, ``1`` = serial in-process).  The pool is
         spawned lazily on the first parallel :meth:`map_comparisons`
         and stays warm until :meth:`close`.
-    batch_cells:
-        Whether :meth:`map_comparisons` runs the :meth:`prepass` by
-        default: ``0`` disables it, any other value enables it
-        (``None`` on the call means "use this default").
     """
 
-    def __init__(self, store=None,
-                 iss_engine: str = "event",
-                 jobs: int = 1,
-                 batch_cells: int = 0):
+    def __init__(self, store=None, jobs: int = 1):
         from ..scenario.store import as_store
 
         self.store = as_store(store)
-        self.iss_engine = iss_engine
         self.jobs = jobs
-        self.batch_cells = batch_cells
         self._executor: Optional[ParallelExecutor] = None
         self._lock = threading.Lock()
         #: Comparisons evaluated through this session (in-process).
@@ -201,10 +188,6 @@ class ExecutionSession:
         self.estimator_runs_cached = 0
         #: Workload IR materializations (zero on full store hits).
         self.workload_builds = 0
-        #: Accumulated counters over every :meth:`prepass` call.
-        self.prepass_totals: Dict[str, float] = {
-            "cells_total": 0, "cells_cold": 0, "cells_batched": 0,
-            "cells_skipped": 0, "compiles": 0, "wall_seconds": 0.0}
 
     # -- lifecycle ----------------------------------------------------
 
@@ -251,7 +234,6 @@ class ExecutionSession:
                 "estimator_runs_computed": self.estimator_runs_computed,
                 "estimator_runs_cached": self.estimator_runs_cached,
                 "workload_builds": self.workload_builds,
-                "prepass": dict(self.prepass_totals),
                 "pool": {"jobs": self.jobs,
                          "warm": self._executor is not None},
             }
@@ -285,7 +267,6 @@ class ExecutionSession:
                    model: Optional[ContentionModel] = None,
                    min_timeslice: float = 0.0,
                    annotation: str = "phase",
-                   iss_engine: Optional[str] = None,
                    include: Sequence[str] = ESTIMATORS,
                    fault_plan=None,
                    budget=None) -> Comparison:
@@ -294,13 +275,11 @@ class ExecutionSession:
         The canonical per-cell sequence (see
         :func:`~repro.experiments.runner.run_comparison` for the full
         parameter documentation): probe the session's run store per
-        estimator, run the misses — the hybrid kernel on its object
-        engine — and commit each computed payload back to the store.
-        ``iss_engine`` defaults to the session-wide setting when not
-        passed.
+        estimator, run the misses — the ISS on the
+        :class:`~repro.cycle.EventEngine`, the hybrid kernel on its
+        object engine — and commit each computed payload back to the
+        store.
         """
-        iss_engine = (iss_engine if iss_engine is not None
-                      else self.iss_engine)
         spec = None
         if not isinstance(workload, Workload):
             from ..scenario.spec import ScenarioSpec
@@ -385,14 +364,8 @@ class ExecutionSession:
                     continue
             if estimator == "iss":
                 start = time.perf_counter()
-                if iss_engine == "stepped":
-                    engine_run = SteppedEngine(get_workload(),
-                                               budget=budget)
-                else:
-                    engine_run = EventEngine(get_workload(),
-                                             budget=budget,
-                                             programs=get_programs())
-                result = engine_run.run()
+                result = EventEngine(get_workload(), budget=budget,
+                                     programs=get_programs()).run()
                 elapsed = time.perf_counter() - start
                 queueing = float(result.queueing_cycles)
             elif estimator == "mesh":
@@ -447,10 +420,14 @@ class ExecutionSession:
     def prepass(self, specs: Sequence) -> Dict[str, object]:
         """Warm the run store's ``mesh`` artifacts from compiled programs.
 
-        The grid-granularity sequence (see
-        :func:`~repro.experiments.runner.batched_mesh_prepass` for the
-        full contract): each cold cell inside the SoA compiled subset
-        is built, compiled, characterized, replayed and committed, in
+        No front end calls this: :meth:`map_comparisons` computes every
+        cold cell through :meth:`comparison`, which is faster because
+        the prepass builds, lowers and characterizes each cell once
+        more.  It stays as the SoA replay's end-to-end entry point for
+        its equivalence tests and the benchmark tracer.
+
+        Each cold cell inside the SoA compiled subset is built,
+        compiled, characterized, replayed and committed, in
         deterministic ``spec_hash``-sorted order, with exactly the
         payload :meth:`comparison` would have written (only
         ``wall_seconds``, an environment measurement, differs).  A cell
@@ -458,9 +435,13 @@ class ExecutionSession:
         soa_spec_fallback_reason` on the spec, or
         :class:`~repro.core.errors.UnsupportedFeatureError` from the
         kernel) counts in ``cells_skipped`` and stays cold, and a cell
-        whose replay raises stays cold too.  The per-cell path then
-        runs such a cell on the object engine and reproduces its
-        canonical diagnostic.
+        whose replay raises stays cold too.  Non-spec and
+        non-``workload``-kind entries are ignored; duplicates collapse
+        by ``spec_hash``.
+
+        Returns a counter mapping: ``cells_total`` (unique eligible
+        specs), ``cells_cold``, ``cells_batched`` (warmed),
+        ``cells_skipped``, ``compiles`` and ``wall_seconds``.
         """
         from ..core.compile import compile_kernel, soa_spec_fallback_reason
         from ..core.errors import UnsupportedFeatureError
@@ -520,37 +501,24 @@ class ExecutionSession:
                 continue
             counters["cells_batched"] += 1
         counters["wall_seconds"] = time.perf_counter() - start
-        with self._lock:
-            for name in self.prepass_totals:
-                self.prepass_totals[name] += counters[name]
         return counters
 
     # -- the batch sequence -------------------------------------------
 
     def map_comparisons(self, workloads: Sequence,
-                        batch_cells: Optional[int] = None,
                         **kwargs) -> List[CellResult]:
         """Batch :meth:`comparison` over independent scenarios.
 
         Each entry is one cell on the session's persistent warm pool
         (results in input order, per-cell error capture); ``kwargs``
-        are forwarded to :meth:`comparison` verbatim.  Spec grids
-        flowing through the session's store first run the
-        :meth:`prepass` when ``batch_cells`` (or the session default)
-        is non-zero, so the per-cell workers find mesh cells warm.
-        Comparisons evaluated by worker processes are folded into the
-        session counters from their returned payloads.
+        are forwarded to :meth:`comparison` verbatim.  Comparisons
+        evaluated by worker processes are folded into the session
+        counters from their returned payloads.
         """
         items = list(workloads)
-        if batch_cells is None:
-            batch_cells = self.batch_cells
         all_specs = items and not any(isinstance(item, Workload)
                                       for item in items)
-        if (batch_cells and self.store is not None and all_specs
-                and "mesh" in kwargs.get("include", ESTIMATORS)):
-            self.prepass(items)
         cell_kwargs = dict(kwargs)
-        cell_kwargs.setdefault("iss_engine", self.iss_engine)
         cell_kwargs["store"] = self.store
         executor = self.executor
         serial = executor.serial

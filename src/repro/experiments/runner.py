@@ -15,9 +15,8 @@ the store are replayed without building the workload or running any
 engine, which is what makes repeated figure and report invocations
 warm cache hits.
 
-The execution sequence itself — store probe, run, store commit, and
-the optional compile-and-replay prepass for cold spec grids — lives in
-:class:`~repro.engine.session.ExecutionSession`; the functions here are
+The execution sequence itself — store probe, run, store commit — lives
+in :class:`~repro.engine.session.ExecutionSession`; the functions here are
 the stable per-call front door over an ephemeral session.  Hold a
 session yourself (as the sweep supervisor and the service do) to keep
 its stores and warm pool across calls.
@@ -26,19 +25,17 @@ its stores and warm pool across calls.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..contention.base import ContentionModel
-from ..engine.session import (ESTIMATORS, Comparison,  # noqa: F401
-                              EstimatorRun, ExecutionSession,
-                              _detail_payload, percent_error)
+from ..engine.session import (ESTIMATORS, Comparison, EstimatorRun,
+                              ExecutionSession, percent_error)
 from ..perf.parallel import CellResult
 
 __all__ = [
     "ESTIMATORS",
     "Comparison",
     "EstimatorRun",
-    "batched_mesh_prepass",
     "finite_mean",
     "percent_error",
     "run_comparison",
@@ -65,7 +62,6 @@ def run_comparison(workload,
                    model: Optional[ContentionModel] = None,
                    min_timeslice: float = 0.0,
                    annotation: str = "phase",
-                   iss_engine: str = "event",
                    include: Sequence[str] = ESTIMATORS,
                    fault_plan=None,
                    budget=None,
@@ -83,10 +79,10 @@ def run_comparison(workload,
         single source of scenario identity.
     model:
         Contention model shared by the hybrid and analytical estimators
-        (the paper applies the *same* Chen-Lin model both ways).
-    iss_engine:
-        ``"event"`` (fast, exact) or ``"stepped"`` (the honest per-cycle
-        loop used for runtime comparisons).
+        (the paper applies the *same* Chen-Lin model both ways).  The
+        ISS ground truth runs on :class:`~repro.cycle.EventEngine`;
+        runtime comparisons against the per-cycle
+        :class:`~repro.cycle.SteppedEngine` (Table 1) build it directly.
     fault_plan:
         Optional :class:`~repro.robustness.faults.FaultPlan` applied to
         the hybrid estimator only — the cycle engines and the whole-run
@@ -106,53 +102,12 @@ def run_comparison(workload,
     session = ExecutionSession(store=store)
     return session.comparison(workload, model=model,
                               min_timeslice=min_timeslice,
-                              annotation=annotation,
-                              iss_engine=iss_engine, include=include,
+                              annotation=annotation, include=include,
                               fault_plan=fault_plan, budget=budget)
-
-
-def batched_mesh_prepass(specs: Sequence, store) -> Dict[str, object]:
-    """Warm a run store's ``mesh`` artifacts for a grid of specs.
-
-    The grid-granularity sequence (implemented by
-    :meth:`~repro.engine.session.ExecutionSession.prepass`): cold cells
-    (no ``mesh`` artifact in ``store``) whose specs sit inside the SoA
-    compiled subset are visited in deterministic ``spec_hash``-sorted
-    order, compiled (:func:`~repro.core.compile.compile_kernel`),
-    replayed on the array interpreter and each committed into the run
-    store under its own ``spec_hash`` with exactly the payload
-    :func:`run_comparison` would have written (only ``wall_seconds``,
-    an environment measurement, differs).  A subsequent
-    :func:`run_comparison` over the same specs then hits the store for
-    every warmed cell.
-
-    Purely an execution optimization: no store path enters
-    ``spec_hash``, and replayed results are bit-identical to per-cell
-    runs.  Specs outside the compiled subset (or that fail
-    kernel-level compilation) are skipped, and a cell whose replay
-    raises stays cold; both fall through to the ordinary per-cell path
-    untouched, which surfaces the canonical diagnostics.
-
-    Parameters
-    ----------
-    specs:
-        Scenario specs (non-spec and non-``workload``-kind entries are
-        ignored); duplicates collapse by ``spec_hash``.
-    store:
-        The :class:`~repro.scenario.store.RunStore` (or root path) to
-        warm.  ``None`` disables the prepass.
-
-    Returns a counter mapping: ``cells_total`` (unique eligible specs),
-    ``cells_cold``, ``cells_batched`` (warmed), ``cells_skipped``
-    (outside the compiled subset), ``compiles`` and ``wall_seconds``.
-    """
-    session = ExecutionSession(store=store)
-    return session.prepass(specs)
 
 
 def run_comparisons_parallel(workloads: Sequence,
                              jobs: int = 0,
-                             batch_cells: int = 0,
                              **kwargs) -> List[CellResult]:
     """Batch :func:`run_comparison` over independent scenarios.
 
@@ -164,13 +119,6 @@ def run_comparisons_parallel(workloads: Sequence,
     ``store=`` to flow spec cells through a run store — workers write
     artifacts to the shared directory, but hit/miss counters stay in
     the worker processes; use the results' ``cached_runs`` instead).
-
-    With ``batch_cells`` non-zero, a spec grid flowing through a store
-    first runs :func:`batched_mesh_prepass` — cold ``mesh`` cells
-    inside the SoA compiled subset are compiled and replayed into the
-    run store, so the per-cell
-    workers below find them warm; ``0`` skips the prepass.  Purely an
-    execution knob: results are bit-identical either way.
 
     Returns one :class:`~repro.perf.parallel.CellResult` per scenario in
     input order: ``result.value`` is the :class:`Comparison`, and a
@@ -186,6 +134,4 @@ def run_comparisons_parallel(workloads: Sequence,
     kwargs = dict(kwargs)
     with ExecutionSession(store=kwargs.pop("store", None),
                           jobs=jobs) as session:
-        return session.map_comparisons(workloads,
-                                       batch_cells=batch_cells,
-                                       **kwargs)
+        return session.map_comparisons(workloads, **kwargs)

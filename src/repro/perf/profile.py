@@ -370,7 +370,7 @@ def calibration_grid(quick: bool = False) -> Dict[str, Any]:
         "numpy": numpy_available(),
         "results_match": batch_maps == scalar_maps,
         "scalar_cells_per_sec": round(len(demands) / scalar_best, 1),
-        "batch_cells_per_sec": round(len(demands) / batch_best, 1),
+        "batched_cells_per_sec": round(len(demands) / batch_best, 1),
         "ratio_batch_over_scalar": round(scalar_best / batch_best, 4),
     }
 

@@ -250,11 +250,9 @@ class ScenarioSpec:
         arguments: ``slice_accounting`` (one of
         ``HybridKernel.SLICE_ACCOUNTING``) and ``batch_analysis`` (a
         JSON boolean).  Kernel options are part of the spec and
-        therefore of :meth:`spec_hash`.  The prepass knob
-        ``batch_cells`` is a pure execution parameter of the
-        runner/sweep/service layer and never enters the spec or
-        :meth:`spec_hash`; a prepassed grid and a per-cell loop produce
-        bit-identical artifacts under the same content addresses.
+        therefore of :meth:`spec_hash`.  Execution parameters of the
+        runner/sweep/service layer (``jobs``, the store root) never
+        enter the spec or :meth:`spec_hash`.
     """
 
     generator: str

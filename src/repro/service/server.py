@@ -29,11 +29,13 @@ stdlib ``asyncio`` framing, no new dependencies:
     * **session** — leaders enqueue their spec; a drain task collects
       everything pending and runs it as *one batch* through
       :meth:`ExecutionSession.map_comparisons` on the session's
-      persistent warm pool, off the event loop.  With ``batch_cells``
-      on (the default), the session's prepass first compiles each cold
-      ``mesh`` cell inside the SoA subset and commits its replayed
-      result; cells it skips (budgets, fault plans, no NumPy, ...) run
-      on the kernel's object engine in the per-cell pass.
+      persistent warm pool, off the event loop: each cold cell is one
+      :meth:`ExecutionSession.comparison` (one workload build, one
+      lowering, one characterization for all its estimators).
+    * **cell errors** — a cell that raises a deterministic outcome of
+      the client's own spec (its ``budget`` tripping) gets a 422 with
+      the typed ``"ExcType: message"`` text; any other cell error is a
+      500.
     * **deadline** — the per-request deadline is a
       :class:`~repro.robustness.budget.RunBudget`
       (``max_wall_seconds``); a request whose wait exceeds it gets a
@@ -46,7 +48,7 @@ stdlib ``asyncio`` framing, no new dependencies:
 ``GET /v1/stats``
     Counters: service request/warm/cold/timeout tallies, coalescing
     leads/joins, quota admissions/rejections, and the full session
-    snapshot (store, pool, prepass).
+    snapshot (store, pool).
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.errors import ConfigurationError, SpecValidationError
+from ..core.errors import (BudgetExceededError, ConfigurationError,
+                           SpecValidationError)
 from ..engine.session import ESTIMATORS, ExecutionSession, _detail_payload
 from ..robustness.budget import RunBudget
 from ..scenario.spec import ScenarioSpec
@@ -68,8 +71,23 @@ from ..scenario.spec import ScenarioSpec
 #: HTTP status reasons for the subset of codes the service emits.
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
-            429: "Too Many Requests", 500: "Internal Server Error",
-            504: "Gateway Timeout"}
+            422: "Unprocessable Entity", 429: "Too Many Requests",
+            500: "Internal Server Error", 504: "Gateway Timeout"}
+
+
+class CellFailure(RuntimeError):
+    """A drained cell's ``"ExcType: message"`` error, with its status.
+
+    Every claimant of the failed cell's flight receives it.  ``status``
+    is 422 when the spec's own budget tripped — a deterministic outcome
+    of the client's spec, not a server fault — and 500 otherwise.
+    """
+
+    def __init__(self, error: str):
+        super().__init__(error)
+        exc_type = error.partition(":")[0]
+        self.status = (422 if exc_type == BudgetExceededError.__name__
+                       else 500)
 
 
 @dataclass
@@ -85,9 +103,6 @@ class ServiceConfig:
     #: Worker count of the session's warm pool (1 = serial in-process,
     #: which keeps the session's kernel-run counters exact).
     jobs: int = 1
-    #: Whether drained batches run the mesh prepass first (non-zero,
-    #: the default) or skip it (``0``).
-    batch_cells: int = -1
     #: Default per-request deadline (seconds) when the body names none.
     deadline_seconds: float = 30.0
     #: Token-bucket quota per tenant: burst capacity and refill rate.
@@ -111,8 +126,7 @@ class AnalyzeService:
 
         self.config = config
         self.session = session if session is not None else \
-            ExecutionSession(store=config.store, jobs=config.jobs,
-                             batch_cells=config.batch_cells)
+            ExecutionSession(store=config.store, jobs=config.jobs)
         self.quotas = QuotaRegistry(
             capacity=config.quota_capacity,
             refill_per_second=config.quota_refill_per_second)
@@ -197,7 +211,7 @@ class AnalyzeService:
                             _run_payload(spec_hash,
                                          comparison.runs[estimator]))
                 else:
-                    error = RuntimeError(
+                    error = CellFailure(
                         result.error if result is not None
                         else "cell was skipped")
                     for estimator in claimed:
@@ -301,8 +315,8 @@ class AnalyzeService:
                      "spec_hash": spec_hash,
                      "deadline_seconds": budget.max_wall_seconds}, {})
         except Exception as err:
-            return (500, {"error": str(err),
-                          "spec_hash": spec_hash}, {})
+            return (getattr(err, "status", 500),
+                    {"error": str(err), "spec_hash": spec_hash}, {})
         for estimator, payload in zip(waiting, done):
             runs[estimator] = payload
         source = "computed" if len(waiting) == len(include) else "mixed"

@@ -94,11 +94,6 @@ class CellOutcome:
     #: Of this cell's estimator runs, how many were replayed from the
     #: store (for ``"cache"`` cells: all of them).
     cached_runs: int = 0
-    #: Execution engine the cell's mesh estimator used (``"object"``),
-    #: ``"cached"`` when the mesh run was replayed from the store (a
-    #: prepass-warmed cell included), or ``None`` when mesh was not
-    #: included.
-    mesh_engine: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -120,10 +115,6 @@ class SweepResult:
     cells: List[CellOutcome]
     counters: Dict[str, int]
     store_stats: Dict[str, int]
-    #: Counters from the mesh prepass (see
-    #: :func:`~repro.experiments.runner.batched_mesh_prepass`), or
-    #: ``None`` when the prepass did not run.
-    prepass: Optional[Dict[str, object]] = None
 
     @property
     def ok(self) -> bool:
@@ -164,13 +155,6 @@ class SweepResult:
              f"corrupt={self.store_stats['corrupt']} "
              f"tmp_swept={self.store_stats['tmp_swept']}"),
         ]
-        lines.extend(self._tally_lines())
-        if self.prepass:
-            p = self.prepass
-            lines.append(
-                f"  batched prepass: warmed {p['cells_batched']} "
-                f"cell(s), compiles={p['compiles']} "
-                f"skipped={p['cells_skipped']}")
         if c.get("cells_stolen"):
             lines.append(f"  work stealing recovered "
                          f"{c['cells_stolen']} straggler cell(s)")
@@ -183,25 +167,6 @@ class SweepResult:
                 for error in record.errors:
                     lines.append(f"    {error}")
         return "\n".join(lines)
-
-    def _tally_lines(self) -> List[str]:
-        """Per-engine tally of the mesh runs, CI-greppable.
-
-        A prepass regression (cells it should have warmed running on
-        the object engine instead of replaying from the store) shows up
-        as a changed tally, exactly like the "recomputed estimator
-        runs: 0" contract line makes recomputation regressions
-        greppable.
-        """
-        engines: Dict[str, int] = {}
-        for cell in self.cells:
-            if cell.mesh_engine is not None:
-                engines[cell.mesh_engine] = \
-                    engines.get(cell.mesh_engine, 0) + 1
-        if not engines:
-            return []
-        return ["  engine_used: " + " ".join(
-            f"{name}={engines[name]}" for name in sorted(engines))]
 
 
 def _fabric_cell(config: Dict, spec: ScenarioSpec) -> Dict:
@@ -221,14 +186,9 @@ def _fabric_cell(config: Dict, spec: ScenarioSpec) -> Dict:
                      version=config["store_version"], tmp_max_age=None)
     include = tuple(config["include"])
     comparison = run_comparison(spec, include=include, store=store)
-    mesh_engine = None
-    mesh = comparison.runs.get("mesh")
-    if mesh is not None:
-        mesh_engine = "cached" if mesh.cached else mesh.detail.engine_used
     return {
         "spec_hash": spec_hash,
         "cached_runs": comparison.cached_runs,
-        "mesh_engine": mesh_engine,
         "runs": {
             name: {"queueing_cycles": run.queueing_cycles,
                    "percent_queueing": run.percent_queueing,
@@ -264,14 +224,12 @@ class SweepSupervisor:
                  shard_budget=None,
                  cell_timeout: Optional[float] = None,
                  chaos: Optional[ChaosPlan] = None,
-                 batch_cells: int = 0,
                  sleep=time.sleep):
         #: The execution facade this sweep routes through: it owns the
-        #: run store shared by the probe, the prepass, and
-        #: (transitively, via :func:`run_comparison` in the worker
-        #: cells) every dispatched cell.
-        self.session = ExecutionSession(store=store, jobs=jobs,
-                                        batch_cells=batch_cells)
+        #: run store shared by the probe and (transitively, via
+        #: :func:`run_comparison` in the worker cells) every dispatched
+        #: cell.
+        self.session = ExecutionSession(store=store, jobs=jobs)
         self.store = self.session.store
         if self.store is None:
             raise ConfigurationError(
@@ -284,13 +242,6 @@ class SweepSupervisor:
         self.cell_timeout = cell_timeout
         self.jobs = jobs
         self.chaos = chaos
-        #: Mesh prepass knob: non-zero warms cold mesh cells through
-        #: the grid-granularity replay before probing (see
-        #: :meth:`~repro.engine.session.ExecutionSession.prepass`).
-        #: Execution-only — never part of spec hashes or the plan hash.
-        self.batch_cells = batch_cells
-        #: Counters of the last prepass (``None`` until run).
-        self.prepass_counters: Optional[Dict[str, object]] = None
         self.sleep = sleep
         if manifest_path is None:
             manifest_path = (self.store.root / "manifests"
@@ -330,9 +281,7 @@ class SweepSupervisor:
                         "percent_queueing": payload["percent_queueing"],
                         "wall_seconds": payload.get("wall_seconds", 0.0),
                     } for name, payload in payloads.items()},
-                    cached_runs=len(self.include),
-                    mesh_engine=("cached" if "mesh" in payloads
-                                 else None))
+                    cached_runs=len(self.include))
 
     def _cell_config(self) -> Dict:
         return {
@@ -362,8 +311,7 @@ class SweepSupervisor:
                 self._outcomes[index] = CellOutcome(
                     index=index, spec_hash=ack["spec_hash"],
                     source="computed", runs=ack["runs"],
-                    cached_runs=ack["cached_runs"],
-                    mesh_engine=ack.get("mesh_engine"))
+                    cached_runs=ack["cached_runs"])
             else:
                 failures.append((index, result.error))
         return failures
@@ -519,8 +467,6 @@ class SweepSupervisor:
                 "chaos kills need jobs != 1: the serial in-process "
                 "path cannot SIGKILL a worker (there is none), so the "
                 "kill plan would silently not exercise anything")
-        if self.batch_cells and "mesh" in self.include:
-            self.prepass_counters = self.session.prepass(self.plan.specs)
         self._probe()
         try:
             for shard in self.plan.shards:
@@ -535,8 +481,7 @@ class SweepSupervisor:
         counters = self._counters(cells, stolen)
         return SweepResult(plan=self.plan, manifest=self.manifest,
                            cells=cells, counters=counters,
-                           store_stats=self.store.stats(),
-                           prepass=self.prepass_counters)
+                           store_stats=self.store.stats())
 
     def _counters(self, cells: Sequence[CellOutcome],
                   stolen: int) -> Dict[str, int]:

@@ -23,6 +23,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["calibrate", "--model", "magic"])
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--batch-cells", "0"],
+        ["sweep", "--batch-cells", "1"],
+        ["calibrate", "--cache-dir", "D"],
+    ], ids=["serve-batch-cells", "sweep-batch-cells",
+            "calibrate-cache-dir"])
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_fig4_tiny(self, capsys):

@@ -10,11 +10,12 @@ Two claims under test:
   golden configuration matrix (which, tracing, must stay out of the
   prepass entirely — its object-engine equality is pinned by
   ``test_core_soa``).
-* **The prepass is an execution choice** — it writes artifacts
-  identical to per-cell ``run_comparison`` (modulo ``wall_seconds``, a
-  wall-clock measurement), a warm run store leaves it nothing to
-  compile, a corrupt ``mesh`` artifact is recomputed, and
-  ``batch_cells`` never enters ``spec_hash``.
+* **The prepass is an execution choice** — called explicitly through
+  :meth:`~repro.engine.session.ExecutionSession.prepass` (no front end
+  runs it), it writes artifacts identical to per-cell
+  ``run_comparison`` (modulo ``wall_seconds``, a wall-clock
+  measurement), a warm run store leaves it nothing to compile, and a
+  corrupt ``mesh`` artifact is recomputed.
 """
 
 import json
@@ -33,8 +34,8 @@ from test_core_soa import EQUIVALENCE_KERNELS, needs_numpy, result_snapshot
 from repro.core import compile_kernel
 from repro.core.errors import UnsupportedFeatureError
 from repro.core.programstore import replay_batch
-from repro.experiments.runner import (batched_mesh_prepass,
-                                      run_comparison,
+from repro.engine import ExecutionSession
+from repro.experiments.runner import (run_comparison,
                                       run_comparisons_parallel)
 from repro.scenario.store import RunStore
 from repro.sweepfabric.grids import fig5_grid
@@ -53,6 +54,11 @@ def _cell(name):
     """A fresh ``(kernel, program)`` replay cell for one kernel name."""
     kernel = EQUIVALENCE_KERNELS[name]()
     return kernel, compile_kernel(kernel)
+
+
+def _prepass(specs, store):
+    """Run the SoA prepass over ``specs`` into ``store``."""
+    return ExecutionSession(store=store).prepass(specs)
 
 
 def _without_wall(payload):
@@ -135,7 +141,7 @@ def test_prepass_artifacts_match_per_cell_runs(tmp_path):
     for spec in specs:
         run_comparison(spec, include=("mesh",), store=percell)
     batched = RunStore(tmp_path / "batched")
-    counters = batched_mesh_prepass(specs, batched)
+    counters = _prepass(specs, batched)
     assert counters["compiles"] == counters["cells_batched"] == len(specs)
     for spec in specs:
         a = percell.get(spec.spec_hash(), "mesh")
@@ -154,11 +160,11 @@ def test_corrupt_mesh_artifact_is_recomputed_by_the_prepass(tmp_path):
     """
     specs = fig5_grid(quick=True)
     store = RunStore(tmp_path / "store")
-    batched_mesh_prepass(specs, store)
+    _prepass(specs, store)
     victim = specs[0].spec_hash()
     before = store.get(victim, "mesh")
     store.path_for(victim, "mesh").write_bytes(b"torn write, not json")
-    counters = batched_mesh_prepass(specs, store)
+    counters = _prepass(specs, store)
     assert counters["cells_cold"] == 1
     assert counters["compiles"] == 1
     assert counters["cells_batched"] == 1
@@ -170,62 +176,33 @@ def test_corrupt_mesh_artifact_is_recomputed_by_the_prepass(tmp_path):
 
 @needs_numpy
 def test_batch_cells_is_execution_only(tmp_path):
-    """With and without the prepass a grid commits identical artifacts,
+    """With and without a prepass a grid commits identical artifacts,
     and a warm run store leaves nothing cold for a later prepass."""
     specs = fig5_grid(quick=True)
     stores = {}
-    for batch_cells in (0, 1):
-        stores[batch_cells] = RunStore(tmp_path / f"store{batch_cells}")
-        run_comparisons_parallel(
-            specs, jobs=1, include=("mesh",),
-            store=stores[batch_cells], batch_cells=batch_cells)
+    for prepassed in (False, True):
+        stores[prepassed] = RunStore(tmp_path / f"store{int(prepassed)}")
+        if prepassed:
+            _prepass(specs, stores[prepassed])
+        run_comparisons_parallel(specs, jobs=1, include=("mesh",),
+                                 store=stores[prepassed])
     for spec in specs:
-        a = stores[0].get(spec.spec_hash(), "mesh")
-        b = stores[1].get(spec.spec_hash(), "mesh")
+        a = stores[False].get(spec.spec_hash(), "mesh")
+        b = stores[True].get(spec.spec_hash(), "mesh")
         assert _without_wall(a) == _without_wall(b)
-    again = batched_mesh_prepass(specs, stores[1])
+    again = _prepass(specs, stores[False])
     assert again["cells_cold"] == 0
     assert again["compiles"] == 0
 
 
 @needs_numpy
-def test_batch_knobs_never_enter_spec_hash(tmp_path):
-    """``batch_cells`` and store paths are invisible to content addresses."""
-    spec = fig5_grid(quick=True)[0]
-    before = spec.spec_hash()
-    serialized = json.dumps(spec.to_dict())
-    assert "batch_cells" not in serialized
-    batched_mesh_prepass([spec], RunStore(tmp_path / "s"))
-    assert spec.spec_hash() == before
-
-
-@needs_numpy
 def test_run_comparisons_parallel_batches_cold_grids(tmp_path):
-    """``batch_cells`` warms the store, so every comparison cache-hits."""
+    """After an explicit prepass, every comparison of the grid
+    cache-hits: the per-cell pass computes nothing."""
     specs = fig5_grid(quick=True)
+    store = RunStore(tmp_path / "store")
+    _prepass(specs, store)
     comparisons = run_comparisons_parallel(
-        specs, include=("mesh",), store=tmp_path / "store",
-        batch_cells=-1)
+        specs, include=("mesh",), store=store)
     assert len(comparisons) == len(specs)
     assert all(cell.value.cached_runs == 1 for cell in comparisons)
-
-
-@needs_numpy
-def test_sweep_summary_reports_tallies_and_prepass(tmp_path):
-    """The sweep summary tallies engines and the prepass.
-
-    The tally line is the CI-greppable record of how each mesh cell
-    was served — a prepass regression shows up as a changed
-    ``engine_used:`` line.
-    """
-    from repro.sweepfabric import run_sharded_sweep
-
-    specs = fig5_grid(quick=True)
-    result = run_sharded_sweep(specs, RunStore(tmp_path / "store"),
-                               shards=2, jobs=1, batch_cells=-1)
-    text = result.summary()
-    assert f"batched prepass: warmed {len(specs)} cell(s)" in text
-    assert f"compiles={len(specs)} skipped=0" in text
-    assert "program_loads" not in text
-    assert "engine_used:" in text
-    assert f"cached={len(specs)}" in text

@@ -47,8 +47,8 @@ from repro.core.events import (acquire, barrier_wait, consume, release,
 from repro.core.scheduler import PinnedScheduler, PriorityScheduler
 from repro.core.programstore import replay_batch, replay_program
 from repro.core.sync import Barrier, Mutex, Semaphore
-from repro.experiments.runner import (run_comparison,
-                                      run_comparisons_parallel)
+from repro.engine.session import ExecutionSession
+from repro.experiments.runner import run_comparison
 from repro.robustness.budget import RunBudget
 from repro.scenario.spec import ModelSpec, ScenarioSpec
 
@@ -330,7 +330,6 @@ def test_no_numpy_routes_to_object(monkeypatch, tmp_path):
     """Without NumPy nothing compiles: the prepass skips every cell and
     the per-cell path computes it on the object engine."""
     import repro.core.compile as compile_mod
-    from repro.engine.session import ExecutionSession
 
     monkeypatch.setattr(compile_mod, "_np", None)
     assert not compile_mod.numpy_available()
@@ -563,8 +562,9 @@ def test_soa_spec_probe_costs_no_extra_builds(tmp_path, monkeypatch):
     baseline = run_comparison(spec, include=("mesh",))
     object_builds = len(calls)
     calls.clear()
-    [cell] = run_comparisons_parallel([spec], jobs=1, include=("mesh",),
-                                      store=tmp_path, batch_cells=-1)
+    with ExecutionSession(store=tmp_path) as session:
+        assert session.prepass([spec])["cells_skipped"] == 1
+        [cell] = session.map_comparisons([spec], include=("mesh",))
     assert len(calls) == object_builds
     mesh = cell.value.runs["mesh"]
     assert not mesh.cached
@@ -578,11 +578,12 @@ def test_soa_store_hit_runs_zero_builds(tmp_path, monkeypatch):
     spec = ScenarioSpec(generator="uniform",
                         params={"threads": 2, "phases": 3, "seed": 2})
     include = ("mesh", "analytical")
-    [cold] = run_comparisons_parallel([spec], jobs=1, include=include,
-                                      store=tmp_path, batch_cells=-1)
-    assert cold.value.cached_runs == (1 if numpy_available() else 0)
-    calls = _counting_builds(monkeypatch)
-    [warm] = run_comparisons_parallel([spec], jobs=1, include=include,
-                                      store=tmp_path, batch_cells=-1)
+    with ExecutionSession(store=tmp_path) as session:
+        session.prepass([spec])
+        [cold] = session.map_comparisons([spec], include=include)
+        assert cold.value.cached_runs == (1 if numpy_available() else 0)
+        calls = _counting_builds(monkeypatch)
+        assert session.prepass([spec])["cells_cold"] == 0
+        [warm] = session.map_comparisons([spec], include=include)
     assert warm.value.cached_runs == 2
     assert calls == []

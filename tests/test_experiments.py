@@ -54,14 +54,6 @@ class TestRunComparison:
         with pytest.raises(ValueError):
             run_comparison(uniform_workload(phases=2), include=("magic",))
 
-    def test_stepped_iss_agrees_with_event(self):
-        workload = uniform_workload(phases=2, work=2_000, accesses=30)
-        event = run_comparison(workload, include=("iss",))
-        stepped = run_comparison(workload, include=("iss",),
-                                 iss_engine="stepped")
-        assert (event.runs["iss"].queueing_cycles
-                == stepped.runs["iss"].queueing_cycles)
-
     def test_hybrid_beats_analytical_on_bursty(self):
         # The paper's core claim, as a regression test.
         workload = bursty_workload(threads=4, bursts=8,

@@ -17,12 +17,13 @@ server on a background event-loop thread, clients on plain
 
 import http.client
 import json
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core import numpy_available, result_to_dict
+from repro.core import result_to_dict
 from repro.experiments.runner import run_comparison
 from repro.scenario import ScenarioSpec
 from repro.service import ServiceConfig, ServiceHandle
@@ -58,8 +59,7 @@ def stats(port):
 @pytest.fixture
 def server(tmp_path):
     config = ServiceConfig(port=0, store=str(tmp_path / "store"),
-                           jobs=1, batch_cells=0,
-                           quota_capacity=10_000,
+                           jobs=1, quota_capacity=10_000,
                            quota_refill_per_second=10_000.0)
     with ServiceHandle(config) as handle:
         yield handle
@@ -243,7 +243,7 @@ class TestValidation:
 class TestQuota:
     def test_tenant_exhaustion_is_429_with_retry_after(self, tmp_path):
         config = ServiceConfig(port=0, store=str(tmp_path / "store"),
-                               batch_cells=0, quota_capacity=2,
+                               quota_capacity=2,
                                quota_refill_per_second=0.001)
         with ServiceHandle(config) as handle:
             port = handle.port
@@ -293,58 +293,77 @@ class TestObservability:
         assert request(server.port, "POST", "/v1/stats")[0] == 405
 
 
+def count_calls(monkeypatch, module_name, attr):
+    """Count calls of ``module_name.attr`` at every ``repro`` module
+    binding it (``from ... import`` copies included)."""
+    original = getattr(sys.modules[module_name], attr)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("repro") and module is not None
+                and getattr(module, attr, None) is original):
+            monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
 class TestPrepassIntegration:
-    def test_batched_drain_warms_the_store_without_per_cell_runs(
-            self, tmp_path):
-        """With the SoA prepass on, a drained cold batch is computed
-        by the prepass and the per-cell pass replays it.  Without
-        NumPy nothing compiles, so the per-cell pass computes it."""
-        warmed = numpy_available()
-        config = ServiceConfig(port=0, store=str(tmp_path / "store"),
-                               batch_cells=-1,
-                               quota_capacity=10_000,
-                               quota_refill_per_second=10_000.0)
+    """The service's cold path: no SoA prepass, one
+    :meth:`ExecutionSession.comparison` per cold cell."""
+
+    def test_cold_cells_build_lower_and_characterize_once(
+            self, tmp_path, monkeypatch):
+        """Each cold cell costs one workload build, one lowering and
+        one characterization, and its reply is computed, not
+        replayed from a store the service warmed behind it."""
+        lowerings = count_calls(monkeypatch, "repro.cycle.program",
+                                "lower_workload")
+        characterizations = count_calls(
+            monkeypatch, "repro.analytical.characterize", "characterize")
+        documents = [dict(SPEC, params=dict(SPEC["params"], seed=seed))
+                     for seed in (11, 12, 13)]
+        config = ServiceConfig(port=0, store=str(tmp_path / "store"))
         with ServiceHandle(config) as handle:
-            status, payload, _ = analyze(
-                handle.port, {"spec": SPEC, "include": ["mesh"]})
-            assert status == 200
-            snapshot = stats(handle.port)
-            session = snapshot["session"]
-            assert session["prepass"]["cells_batched"] == int(warmed)
-            # One build (the prepass compile), zero per-cell computes:
-            # the cell replayed the artifact the prepass committed.
-            assert session["workload_builds"] == 1
-            assert session["estimator_runs_computed"] == int(not warmed)
-            assert session["estimator_runs_cached"] == int(warmed)
-            assert payload["runs"]["mesh"]["cached"] is warmed
+            for document in documents:
+                status, payload, _ = analyze(handle.port,
+                                             {"spec": document})
+                assert status == 200
+                assert payload["source"] == "computed"
+                assert all(run["cached"] is False
+                           for run in payload["runs"].values())
+            session = stats(handle.port)["session"]
+        cells = len(documents)
+        assert session["workload_builds"] == cells
+        assert session["estimator_runs_computed"] == 3 * cells
+        assert "prepass" not in session
+        assert len(lowerings) == cells
+        assert len(characterizations) == cells
 
     @pytest.fixture
-    def prepass_server(self, tmp_path):
+    def cold_server(self, tmp_path):
         config = ServiceConfig(port=0, store=str(tmp_path / "store"),
-                               batch_cells=-1,
                                quota_capacity=10_000,
                                quota_refill_per_second=10_000.0)
         with ServiceHandle(config) as handle:
             yield handle
 
     def test_faulted_cold_spec_is_served_by_the_object_path(
-            self, prepass_server):
-        """A fault plan keeps a cell out of the compiled subset: the
-        prepass skips it before building anything, and the per-cell
-        object run answers with the payload a direct comparison gives."""
+            self, cold_server):
+        """A faulted cold cell runs once on the kernel's object engine
+        and answers with the payload a direct comparison gives."""
         document = dict(SPEC, fault_plan={
             "seed": 7, "windows": [{
                 "resource": "bus", "start": 10.0, "end": 5000.0,
                 "service_factor": 2.0, "fail_prob": 0.2}]})
         status, payload, _ = analyze(
-            prepass_server.port,
+            cold_server.port,
             {"spec": document, "include": ["mesh"], "detail": True})
         assert status == 200
         assert payload["source"] == "computed"
-        session = stats(prepass_server.port)["session"]
-        assert session["prepass"]["cells_skipped"] == 1
-        assert session["prepass"]["compiles"] == 0
-        assert session["prepass"]["cells_batched"] == 0
+        session = stats(cold_server.port)["session"]
         assert session["workload_builds"] == 1
         assert session["estimator_runs_computed"] == 1
         expected = run_comparison(ScenarioSpec.from_dict(document),
@@ -358,17 +377,17 @@ class TestPrepassIntegration:
         assert expected.detail.faults_injected > 0
 
     def test_budgeted_cold_spec_fails_with_the_typed_error(
-            self, prepass_server):
-        """A run budget keeps a cell out of the compiled subset; the
-        per-cell object run trips it and the request carries the
-        kernel's ``BudgetExceededError``."""
+            self, cold_server):
+        """A spec whose own run budget trips is the client's outcome,
+        not a server fault: 422 with the kernel's typed
+        ``BudgetExceededError`` text and the spec hash."""
         document = dict(SPEC, budget={"max_regions": 2})
         status, payload, _ = analyze(
-            prepass_server.port, {"spec": document, "include": ["mesh"]})
-        assert status == 500
+            cold_server.port, {"spec": document, "include": ["mesh"]})
+        assert status == 422
         assert payload["error"].startswith("BudgetExceededError: ")
         assert "max_regions 2" in payload["error"]
-        session = stats(prepass_server.port)["session"]
-        assert session["prepass"]["cells_skipped"] == 1
-        assert session["prepass"]["compiles"] == 0
+        assert payload["spec_hash"] == \
+            ScenarioSpec.from_dict(document).spec_hash()
+        session = stats(cold_server.port)["session"]
         assert session["workload_builds"] == 1
